@@ -264,6 +264,26 @@ mod tests {
     }
 
     #[test]
+    fn derived_seed_survives_report_roundtrip() {
+        // Derived seeds use all 64 bits; a JSON number would round them.
+        let path = tmp("slimsim_test_report_derived_seed.json");
+        for seed in [slim_stats::rng::derive_seed(42, 7), u64::MAX] {
+            assert!(seed > 1 << 53);
+            let a = args(&format!(
+                "analyze sensor-filter --size 2 --bound 1.0 --epsilon 0.2 --delta 0.2 --quiet \
+                 --seed {seed} --report {}",
+                path.display()
+            ));
+            super::super::analyze::run(&a).expect("analysis with report succeeds");
+            run(&args(&format!("report {} --quiet", path.display()))).expect("report validates");
+            let text = std::fs::read_to_string(&path).unwrap();
+            let report = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(report.config.seed, seed);
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
     fn profile_report_then_validate() {
         let path = tmp("slimsim_test_report_profile_cmd.json");
         let a = args(&format!(

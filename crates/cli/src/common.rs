@@ -52,6 +52,9 @@ pub fn load_network_spanned(args: &Args) -> Result<(Network, SpanTable), String>
         "repair" => Ok(no_spans(repair_network(&RepairParams::default()))),
         "sensor-filter" => {
             let size = args.opt_usize("size", 2)?;
+            if size == 0 {
+                return Err("--size must be at least 1 (units per sensor and filter bank)".into());
+            }
             Ok(no_spans(sensor_filter_network(&SensorFilterParams {
                 redundancy: size,
                 ..Default::default()
@@ -262,6 +265,12 @@ mod tests {
         let a = args("analyze sensor-filter --size 3");
         let net = load_network(&a).unwrap();
         assert_eq!(net.automata().len(), 7);
+    }
+
+    #[test]
+    fn sensor_filter_size_zero_is_error() {
+        let err = load_network(&args("analyze sensor-filter --size 0")).unwrap_err();
+        assert!(err.contains("--size"), "{err}");
     }
 
     #[test]

@@ -821,12 +821,11 @@ impl<'a> PathGenerator<'a> {
     /// stride·j)` and is advanced by the same step function the scalar
     /// `generate*` family uses, so every lane's outcome is bit-identical
     /// to `generate_with` on that stream — independent of the lane count
-    /// and of how the other lanes terminate. Lanes that end early simply
-    /// drop out of the sweep while the rest keep stepping (the scalar
-    /// drain). The lane-exactness contract assumes a memoryless
-    /// `strategy` (all built-in [`crate::strategy::StrategyKind`]s are);
-    /// traced paths must use the scalar [`Self::generate_traced_with`],
-    /// since a trace follows a single path.
+    /// and of how the other lanes terminate. The lane-exactness contract
+    /// assumes a memoryless `strategy` (all built-in
+    /// [`crate::strategy::StrategyKind`]s are); traced paths must use the
+    /// scalar [`Self::generate_traced_with`], since a trace follows a
+    /// single path.
     ///
     /// A lane hitting a simulation error records `Err` in its slot
     /// without disturbing the other lanes. With `obs` present, per-path
@@ -849,24 +848,16 @@ impl<'a> PathGenerator<'a> {
         obs: Option<&SimObserver>,
         out: &mut Vec<Result<PathOutcome, SimError>>,
     ) {
-        let t0 = obs.map(|_| std::time::Instant::now());
-        self.run_batch(
+        self.generate_batch_profiled_with(
             scratch,
             strategy,
             seed,
             start,
             stride,
             count,
-            1.0,
-            obs.is_some(),
+            obs,
             &mut NoopProfile,
-        );
-        scratch.record_batch(count, obs, t0);
-        out.clear();
-        out.extend(
-            scratch.results[..count]
-                .iter_mut()
-                .map(|slot| slot.take().expect("lane finished").map(|(o, _)| o)),
+            out,
         );
     }
 
@@ -887,10 +878,13 @@ impl<'a> PathGenerator<'a> {
         start: u64,
         stride: u64,
         count: usize,
+        obs: Option<&SimObserver>,
         prof: &mut P,
         out: &mut Vec<Result<PathOutcome, SimError>>,
     ) {
-        self.run_batch(scratch, strategy, seed, start, stride, count, 1.0, false, prof);
+        let t0 = obs.map(|_| std::time::Instant::now());
+        self.run_batch(scratch, strategy, seed, start, stride, count, 1.0, obs.is_some(), prof);
+        scratch.record_batch(count, obs, t0);
         out.clear();
         out.extend(
             scratch.results[..count]
@@ -936,9 +930,9 @@ impl<'a> PathGenerator<'a> {
         );
     }
 
-    /// The batched engine core: initializes `count` lanes and sweeps them
-    /// round-robin, advancing every live lane by one engine step per pass
-    /// until the batch drains. Results land in `scratch.results`.
+    /// The batched engine core: initializes `count` lanes, then runs each
+    /// lane to completion in index order with the scalar step function.
+    /// Results land in `scratch.results`.
     #[allow(clippy::too_many_arguments)]
     fn run_batch<P: ProfileHooks>(
         &self,

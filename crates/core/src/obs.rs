@@ -14,6 +14,7 @@ use crate::verdict::{PathOutcome, Verdict};
 use crate::witness::WitnessSelector;
 use slim_obs::metrics::{CounterId, HistogramId, MetricsRegistry, MetricsSnapshot};
 use slim_obs::report::ConvergencePoint;
+use slim_stats::chernoff::Accuracy;
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -74,11 +75,11 @@ pub struct SimObserver {
     c_decisions_stuck: CounterId,
     h_steps_per_path: HistogramId,
     h_path_micros: HistogramId,
-    // Collector-level (recorded by the consuming thread only).
-    c_samples_consumed: CounterId,
-    c_rounds_drained: CounterId,
     c_deadlocks: CounterId,
     c_timelocks: CounterId,
+    // Round-robin collector (recorded by the consuming thread only).
+    c_samples_consumed: CounterId,
+    c_rounds_drained: CounterId,
     h_buffer_depth: HistogramId,
     h_drain_batch: HistogramId,
     h_drain_gap_micros: HistogramId,
@@ -192,9 +193,15 @@ impl SimObserver {
         &self.registry
     }
 
-    /// Snapshot of every metric.
+    /// Snapshot of every metric. The `collector.*` counters appear only
+    /// when the round-robin collector ran (a sequential stopping rule on
+    /// several workers): other runs have no collector to describe.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        let mut snap = self.registry.snapshot();
+        if self.registry.counter_value(self.c_rounds_drained) == 0 {
+            snap.counters.retain(|name, _| !name.starts_with("collector."));
+        }
+        snap
     }
 
     /// Flushes one generated path's detail (called by the engine).
@@ -328,6 +335,20 @@ impl SimObserver {
         }
     }
 
+    /// Reports progress from the per-worker counters while a fixed-target
+    /// run's workers are still running: the paths done so far out of
+    /// `target`, `p̂` over them, and the Hoeffding half-width at that count.
+    pub(crate) fn on_worker_progress(&self, target: u64, accuracy: Accuracy) {
+        let r = &self.registry;
+        let done: u64 = self.workers.iter().map(|ids| r.counter_value(ids.paths)).sum();
+        if done > 0 {
+            let satisfied: u64 =
+                self.workers.iter().map(|ids| r.counter_value(ids.satisfied)).sum();
+            let p = satisfied as f64 / done as f64;
+            self.on_progress(done, Some(target), Some((p, accuracy.epsilon_for_samples(done))));
+        }
+    }
+
     /// Records one drain of the round-robin collector: how many samples
     /// the batch contained, how many remained buffered afterwards, and
     /// the wall-clock gap since the previous drain.
@@ -356,6 +377,19 @@ impl SimObserver {
     pub(crate) fn offer_witness(&self, index: u64, verdict: Verdict) {
         if let Some(w) = &self.witnesses {
             w.lock().unwrap().offer(index, verdict);
+        }
+    }
+
+    /// The per-category witness capacity (`None` without capture).
+    pub(crate) fn witness_capacity(&self) -> Option<usize> {
+        self.witnesses.as_ref().map(|w| w.lock().unwrap().capacity())
+    }
+
+    /// Merges one worker's witness candidates into the selection (see
+    /// [`WitnessSelector::merge`]; no-op without capture).
+    pub(crate) fn merge_witnesses(&self, part: &WitnessSelector) {
+        if let Some(w) = &self.witnesses {
+            w.lock().unwrap().merge(part);
         }
     }
 

@@ -1,14 +1,15 @@
 //! Analysis orchestration: drives the path generator until the statistical
 //! generator is satisfied, sequentially or in parallel (§III-C).
 //!
-//! Reproducibility: path `i` always consumes RNG stream `derive(seed, i)`,
-//! so the set of generated paths is identical for any worker count; with
-//! sequential stopping rules the *order* samples are consumed in is fixed
-//! by the round-robin collector, making results deterministic given
-//! `(seed, workers)`.
+//! Reproducibility: path `i` always consumes RNG stream `derive(seed, i)`.
+//! With a sample count known up front (Chernoff–Hoeffding) the path set is
+//! `0..N`, folded per worker and consumed in index order, so results are
+//! identical for every worker count; with sequential stopping rules the
+//! round-robin collector fixes the consumption order, making results
+//! deterministic given `(seed, workers)`.
 //!
 //! The runner is written against a small [`PathSource`] seam rather than
-//! the engine directly, so its concurrency protocol — quota splitting,
+//! the engine directly, so its concurrency protocol — block distribution,
 //! round-robin collection, completion, failure propagation — is testable
 //! with deterministic mock samplers (panics, locks, slow late paths).
 
@@ -20,14 +21,15 @@ use crate::preverdict::{pre_verdict_with, PreVerdict};
 use crate::property::TimedReach;
 use crate::strategy::Strategy;
 use crate::verdict::{PathOutcome, PathStats, Verdict};
+use crate::witness::WitnessSelector;
 use slim_automata::prelude::{profile_shape, Network};
-use slim_obs::profile::KernelProfile;
+use slim_obs::profile::{KernelProfile, NoopProfile, ProfileHooks};
 use slim_obs::report::ConvergencePoint;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::estimator::{Estimate, Generator};
-use slim_stats::parallel::{split_workload, RoundRobinCollector};
-use slim_stats::rng::path_rng;
-use std::sync::atomic::{AtomicBool, Ordering};
+use slim_stats::parallel::RoundRobinCollector;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Result of a statistical analysis run.
@@ -61,54 +63,42 @@ impl AnalysisResult {
 /// index); tests substitute deterministic mocks to pin down the runner's
 /// failure and completion semantics without racing real simulations.
 pub(crate) trait PathSource: Sync {
-    /// Per-worker reusable workspace threaded through [`Self::sample`].
+    /// Per-worker reusable workspace threaded through [`Self::sample_block`].
     type Scratch;
 
     /// Creates a fresh workspace (once per worker, not per path).
     fn make_scratch(&self) -> Self::Scratch;
 
-    /// Generates the outcome for path `index`.
-    fn sample(
-        &self,
-        index: u64,
-        scratch: &mut Self::Scratch,
-        strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError>;
-
-    /// Generates the outcomes of the `count` paths at indices `start`,
-    /// `start + stride`, `start + 2·stride`, …, clearing `out` and
-    /// pushing one result per path in index order. The default
-    /// implementation loops [`Self::sample`]; the engine source
-    /// overrides it with the batched structure-of-arrays kernel
-    /// (identical per-path results, amortized dispatch).
+    /// Generates the outcomes of paths `start..start + count`, clearing
+    /// `out` and pushing one result per path in index order. `prof`
+    /// receives the kernel's profile hooks.
     #[allow(clippy::too_many_arguments)]
-    fn sample_batch(
+    fn sample_block<P: ProfileHooks>(
         &self,
         start: u64,
-        stride: u64,
         count: usize,
         scratch: &mut Self::Scratch,
         strategy: &mut dyn Strategy,
         obs: Option<&SimObserver>,
+        prof: &mut P,
         out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        out.clear();
-        for j in 0..count as u64 {
-            out.push(self.sample(start + stride * j, scratch, strategy, obs));
-        }
-    }
+    );
 
     /// Size of one simulation state in bytes (for the memory estimate).
     fn state_bytes(&self) -> usize;
 }
 
-/// The production source: one seeded engine run per path index, lifted
-/// onto the batched structure-of-arrays kernel when the runner asks for
-/// whole lanes at once.
+/// The production source: one seeded engine run per path index, on the
+/// batched kernel.
 struct EngineSource<'a> {
     gen: PathGenerator<'a>,
     seed: u64,
+}
+
+impl<'a> EngineSource<'a> {
+    fn new(net: &'a Network, property: &'a TimedReach, config: &SimConfig) -> Self {
+        EngineSource { gen: PathGenerator::new(net, property, config.max_steps), seed: config.seed }
+    }
 }
 
 impl PathSource for EngineSource<'_> {
@@ -118,28 +108,19 @@ impl PathSource for EngineSource<'_> {
         BatchScratch::new()
     }
 
-    fn sample(
-        &self,
-        index: u64,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        let mut rng = path_rng(self.seed, index);
-        self.gen.generate_observed_with(scratch.sim_mut(), strategy, &mut rng, obs)
-    }
-
-    fn sample_batch(
+    fn sample_block<P: ProfileHooks>(
         &self,
         start: u64,
-        stride: u64,
         count: usize,
         scratch: &mut BatchScratch,
         strategy: &mut dyn Strategy,
         obs: Option<&SimObserver>,
+        prof: &mut P,
         out: &mut Vec<Result<PathOutcome, SimError>>,
     ) {
-        self.gen.generate_batch_with(scratch, strategy, self.seed, start, stride, count, obs, out);
+        self.gen.generate_batch_profiled_with(
+            scratch, strategy, self.seed, start, 1, count, obs, prof, out,
+        );
     }
 
     fn state_bytes(&self) -> usize {
@@ -153,6 +134,9 @@ impl PathSource for EngineSource<'_> {
 /// * [`SimError::DeadlockDetected`] under [`DeadlockPolicy::Error`];
 /// * evaluation errors from ill-formed dynamic behavior;
 /// * worker failures in parallel mode.
+///
+/// A fixed-target run that fails reports the failure at the lowest path
+/// index, whatever the worker count.
 pub fn analyze(
     net: &Network,
     property: &TimedReach,
@@ -164,10 +148,11 @@ pub fn analyze(
 /// Runs the statistical analysis with optional instrumentation.
 ///
 /// With `obs == Some`, the runner records per-path and per-worker metrics,
-/// `simulate`/`estimate` phase timings, collector depth, and drives the
-/// observer's progress callback. The observer never feeds back into
-/// simulation (it is consulted only after samples are produced and never
-/// touches the RNG), so results are bit-identical with and without it.
+/// `simulate`/`estimate` phase timings, collector depth (round-robin runs
+/// only), and drives the observer's progress callback. The observer never
+/// feeds back into simulation (it is consulted only after samples are
+/// produced and never touches the RNG), so results are bit-identical with
+/// and without it.
 ///
 /// # Errors
 /// See [`analyze`].
@@ -184,40 +169,37 @@ pub fn analyze_observed(
             return Ok(exact_result(net, verdict, p, start, obs));
         }
     }
-    let source = EngineSource {
-        gen: PathGenerator::new(net, property, config.max_steps),
-        seed: config.seed,
-    };
-    if config.workers <= 1 {
-        analyze_sequential_impl(&source, config, obs)
-    } else {
-        analyze_parallel_impl(&source, config, obs)
+    analyze_source(&EngineSource::new(net, property, config), config, obs)
+}
+
+/// Picks the runner the generator calls for: the shared-nothing
+/// fixed-target runner when the sample count is known up front, otherwise
+/// the sequential loop (one worker) or the round-robin collector.
+fn analyze_source<S: PathSource>(
+    source: &S,
+    config: &SimConfig,
+    obs: Option<&SimObserver>,
+) -> Result<AnalysisResult, SimError> {
+    let generator = config.generator.instantiate(config.accuracy);
+    match generator.known_target() {
+        Some(target) => {
+            analyze_fixed_impl(source, config, generator, target, obs, || NoopProfile).map(|r| r.0)
+        }
+        None if config.workers <= 1 => analyze_sequential_impl(source, config, generator, obs),
+        None => analyze_round_robin_impl(source, config, generator, obs),
     }
 }
 
 /// Runs the statistical analysis with the kernel profiler attached,
 /// returning the merged [`KernelProfile`] alongside the analysis result.
 ///
-/// Determinism contract: the profile is a pure function of `(model,
-/// property, seed, accuracy, batch_lanes)` — in particular it is
-/// byte-identical for every worker count. Three ingredients make this
-/// hold:
-///
-/// * profiling requires a generator with an a-priori known sample target
-///   (the Chernoff–Hoeffding bound), so the sampled path set is exactly
-///   `0..target` with no completion race between workers;
-/// * paths are partitioned into blocks of `batch_lanes` *consecutive*
-///   indices distributed block-cyclically over the workers, so batch
-///   composition — and with it the lane-utilization histogram — does not
-///   depend on the worker count;
-/// * per-worker profiles are merged with wrapping adds in worker-index
-///   order, and the static pre-verdict short-circuit is skipped (a
-///   decisive pre-verdict samples zero paths, leaving nothing to
-///   profile).
-///
-/// Outcomes are consumed in path-index order, so the estimate, the
-/// deadlock policy and error propagation match the sequential runner
-/// exactly.
+/// This is the fixed-target runner with per-worker [`KernelProfile`]
+/// hooks, merged with wrapping adds in worker-index order. Blocks hold
+/// `batch_lanes` *consecutive* path indices, so batch composition does
+/// not depend on the worker count, and the profile is a pure function of
+/// `(model, property, seed, accuracy, batch_lanes)`. The static
+/// pre-verdict short-circuit is skipped: a decisive pre-verdict samples
+/// zero paths, leaving nothing to profile.
 ///
 /// # Errors
 /// * [`SimError::InvalidInput`] when `config.generator` has no known
@@ -231,8 +213,7 @@ pub fn analyze_profiled(
     config: &SimConfig,
     obs: Option<&SimObserver>,
 ) -> Result<(AnalysisResult, KernelProfile), SimError> {
-    let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
+    let generator = config.generator.instantiate(config.accuracy);
     let Some(target) = generator.known_target() else {
         return Err(SimError::InvalidInput {
             detail: "profiling requires a fixed-target generator (chernoff); sequential \
@@ -240,99 +221,15 @@ pub fn analyze_profiled(
                 .to_string(),
         });
     };
-    let gen = PathGenerator::new(net, property, config.max_steps);
+    let source = EngineSource::new(net, property, config);
     let shape = profile_shape(net);
-    let workers = config.workers.max(1);
-    let lanes = config.batch_lanes.max(1) as u64;
-    let n_blocks = target.div_ceil(lanes);
-
-    // Worker w simulates blocks w, w + workers, w + 2·workers, … into a
-    // local profile and a local queue of per-block outcome vectors.
-    type BlockOutcomes = Vec<Vec<Result<PathOutcome, SimError>>>;
-    let joined: Vec<std::thread::Result<(KernelProfile, BlockOutcomes)>> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let gen = &gen;
-                    let shape = &shape;
-                    scope.spawn(move || {
-                        let mut prof = KernelProfile::new(shape.clone());
-                        let mut strategy = config.strategy.instantiate();
-                        let mut scratch = BatchScratch::new();
-                        let mut blocks: BlockOutcomes = Vec::new();
-                        let mut b = w as u64;
-                        while b < n_blocks {
-                            let first = b * lanes;
-                            let count = (target - first).min(lanes) as usize;
-                            let block_t0 = obs.map(|_| Instant::now());
-                            let mut out = Vec::with_capacity(count);
-                            gen.generate_batch_profiled_with(
-                                &mut scratch,
-                                strategy.as_mut(),
-                                config.seed,
-                                first,
-                                1,
-                                count,
-                                &mut prof,
-                                &mut out,
-                            );
-                            if let (Some(o), Some(t0)) = (obs, block_t0) {
-                                let satisfied = out
-                                    .iter()
-                                    .filter(|r| matches!(r, Ok(oc) if oc.verdict.is_success()))
-                                    .count();
-                                o.record_worker_batch(
-                                    w,
-                                    count as u64,
-                                    satisfied as u64,
-                                    t0.elapsed() / count.max(1) as u32,
-                                );
-                            }
-                            blocks.push(out);
-                            b += workers as u64;
-                        }
-                        (prof, blocks)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
+    let (result, parts) = analyze_fixed_impl(&source, config, generator, target, obs, || {
+        KernelProfile::new(shape.clone())
+    })?;
     let mut profile = KernelProfile::new(shape);
-    let mut queues: Vec<std::vec::IntoIter<Vec<Result<PathOutcome, SimError>>>> =
-        Vec::with_capacity(workers);
-    for res in joined {
-        let (wprof, blocks) =
-            res.map_err(|p| SimError::WorkerFailed { detail: panic_message(p.as_ref()) })?;
-        profile.merge(&wprof);
-        queues.push(blocks.into_iter());
+    for part in &parts {
+        profile.merge(part);
     }
-
-    // Consume outcomes in global path-index order: block b lives at the
-    // front of worker (b mod workers)'s queue.
-    let mut stats = PathStats::default();
-    for b in 0..n_blocks {
-        let block = queues[(b % workers as u64) as usize].next().expect("block schedule");
-        for out in block {
-            let outcome = out?;
-            check_deadlock_policy(config, &outcome)?;
-            stats.record(&outcome);
-            if !generator.is_complete() {
-                generator.add(outcome.verdict.is_success());
-            }
-        }
-    }
-
-    let sim_wall = start.elapsed();
-    let result = finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        net.state_size_bytes(),
-        obs,
-        sim_wall,
-    );
     Ok((result, profile))
 }
 
@@ -415,8 +312,8 @@ fn finish_run(
     stats: PathStats,
     state_bytes: usize,
     obs: Option<&SimObserver>,
-    sim_wall: Duration,
 ) -> AnalysisResult {
+    let sim_wall = start.elapsed();
     let est_start = Instant::now();
     let estimate = generator.estimate();
     if let Some(o) = obs {
@@ -443,13 +340,197 @@ fn finish_run(
     }
 }
 
+/// How a fixed-target run splits paths `0..target` over its workers:
+/// blocks of `lanes` consecutive indices, block `b` to worker
+/// `b mod workers`, where it starts at the worker's local path position
+/// `(b / workers) · lanes`.
+#[derive(Debug, Clone, Copy)]
+struct BlockPlan {
+    target: u64,
+    lanes: u64,
+    workers: u64,
+    blocks: u64,
+}
+
+impl BlockPlan {
+    fn new(target: u64, lanes: usize, workers: usize) -> BlockPlan {
+        let lanes = lanes.max(1) as u64;
+        BlockPlan { target, lanes, workers: workers.max(1) as u64, blocks: target.div_ceil(lanes) }
+    }
+
+    /// Paths in block `b`; only the last block can be short.
+    fn block_len(&self, b: u64) -> usize {
+        (self.target - b * self.lanes).min(self.lanes) as usize
+    }
+}
+
+/// One fixed-target worker's local fold over its blocks.
+struct WorkerFold<P> {
+    stats: PathStats,
+    /// Success bit of the worker's `j`-th path at bit `j % 64` of word
+    /// `j / 64` — one bit per path, in the worker's own block order.
+    successes: Vec<u64>,
+    /// The worker's first goal and lock path indices (witness capture
+    /// only); its paths arrive in increasing index order.
+    witnesses: Option<WitnessSelector>,
+    hooks: P,
+}
+
+/// A failed path: its index and its error.
+type Failure = (u64, SimError);
+
+/// The fixed-target runner, §III-C's "trivial solution" of splitting a
+/// known sample count statically: paths `0..target` are distributed by
+/// [`BlockPlan`], and the calling thread runs worker 0 (`k` workers use
+/// `k − 1` spawned threads and no channel). Each worker folds its
+/// outcomes locally and stops at its first failure. After the join the
+/// run reports the lowest-index failure, if any, and otherwise feeds the
+/// generator in path-index order, so estimate, stats, witnesses and
+/// convergence series are identical for every worker count. `make_hooks`
+/// builds each worker's kernel hooks; they are returned in worker order.
+fn analyze_fixed_impl<S: PathSource, P: ProfileHooks + Send>(
+    source: &S,
+    config: &SimConfig,
+    mut generator: Box<dyn Generator>,
+    target: u64,
+    obs: Option<&SimObserver>,
+    make_hooks: impl Fn() -> P + Sync,
+) -> Result<(AnalysisResult, Vec<P>), SimError> {
+    let start = Instant::now();
+    let plan = BlockPlan::new(target, config.batch_lanes, config.workers);
+    // The lowest failing path index seen so far: workers skip blocks past
+    // it, since only the lowest-index failure is reported.
+    let first_failure = AtomicU64::new(u64::MAX);
+    let work = |w: usize| -> Result<WorkerFold<P>, Failure> {
+        // First index of the block in progress, to place a panic.
+        let mut at = w as u64 * plan.lanes;
+        let body = AssertUnwindSafe(|| {
+            fold_worker(w, source, config, plan, obs, make_hooks(), &first_failure, &mut at)
+        });
+        catch_unwind(body).unwrap_or_else(|payload| {
+            Err((at, SimError::WorkerFailed { detail: panic_message(payload.as_ref()) }))
+        })
+    };
+    let results: Vec<Result<WorkerFold<P>, Failure>> = std::thread::scope(|scope| {
+        let work = &work;
+        let spawned: Vec<_> =
+            (1..plan.workers as usize).map(|w| scope.spawn(move || work(w))).collect();
+        std::iter::once(work(0))
+            .chain(spawned.into_iter().map(|h| {
+                h.join().unwrap_or_else(|payload| {
+                    Err((0, SimError::WorkerFailed { detail: panic_message(payload.as_ref()) }))
+                })
+            }))
+            .collect()
+    });
+    let failures = results.iter().filter_map(|r| r.as_ref().err());
+    if let Some((_, e)) = failures.min_by_key(|(index, _)| *index) {
+        return Err(e.clone());
+    }
+    let folds: Vec<WorkerFold<P>> = results.into_iter().flatten().collect();
+
+    let mut stats = PathStats::default();
+    for fold in &folds {
+        stats.merge(&fold.stats);
+        if let (Some(o), Some(witnesses)) = (obs, &fold.witnesses) {
+            o.merge_witnesses(witnesses);
+        }
+    }
+    let mut convergence = ConvergenceSchedule::new();
+    for b in 0..plan.blocks {
+        let fold = &folds[(b % plan.workers) as usize];
+        let local = (b / plan.workers * plan.lanes) as usize;
+        for pos in local..local + plan.block_len(b) {
+            generator.add(fold.successes[pos / 64] >> (pos % 64) & 1 == 1);
+            if let Some(o) = obs {
+                convergence.after_sample(generator.as_ref(), config.accuracy, o);
+            }
+        }
+    }
+    let result =
+        finish_run(start, generator.as_ref(), config.accuracy, stats, source.state_bytes(), obs);
+    Ok((result, folds.into_iter().map(|f| f.hooks).collect()))
+}
+
+/// Worker `w` of [`analyze_fixed_impl`]: simulates its blocks in order
+/// and folds their outcomes, returning at its first failure. `at` tracks
+/// the first index of the block in progress.
+#[allow(clippy::too_many_arguments)]
+fn fold_worker<S: PathSource, P: ProfileHooks>(
+    w: usize,
+    source: &S,
+    config: &SimConfig,
+    plan: BlockPlan,
+    obs: Option<&SimObserver>,
+    hooks: P,
+    first_failure: &AtomicU64,
+    at: &mut u64,
+) -> Result<WorkerFold<P>, Failure> {
+    let mut fold = WorkerFold {
+        stats: PathStats::default(),
+        successes: Vec::new(),
+        witnesses: obs.and_then(SimObserver::witness_capacity).map(WitnessSelector::new),
+        hooks,
+    };
+    let mut strategy = config.strategy.instantiate();
+    let mut scratch = source.make_scratch();
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    let mut b = w as u64;
+    while b < plan.blocks && b * plan.lanes < first_failure.load(Ordering::Relaxed) {
+        let first = b * plan.lanes;
+        *at = first;
+        let count = plan.block_len(b);
+        let sampled_at = obs.map(|_| Instant::now());
+        let (scratch, strategy) = (&mut scratch, strategy.as_mut());
+        source.sample_block(first, count, scratch, strategy, obs, &mut fold.hooks, &mut out);
+        let mut satisfied = 0u64;
+        for (index, res) in (first..).zip(out.drain(..)) {
+            let outcome = match res.and_then(|o| check_deadlock_policy(config, &o).map(|()| o)) {
+                Ok(outcome) => outcome,
+                Err(e) => {
+                    first_failure.fetch_min(index, Ordering::Relaxed);
+                    return Err((index, e));
+                }
+            };
+            fold.stats.record(&outcome);
+            let success = outcome.verdict.is_success();
+            if pos.is_multiple_of(64) {
+                fold.successes.push(0);
+            }
+            fold.successes[pos / 64] |= u64::from(success) << (pos % 64);
+            pos += 1;
+            satisfied += u64::from(success);
+            if let Some(witnesses) = &mut fold.witnesses {
+                witnesses.offer(index, outcome.verdict);
+            }
+        }
+        if let (Some(o), Some(t0)) = (obs, sampled_at) {
+            o.record_worker_batch(w, count as u64, satisfied, t0.elapsed() / count as u32);
+            // The calling thread reports every worker's progress between
+            // its own blocks.
+            if w == 0 {
+                o.on_worker_progress(plan.target, config.accuracy);
+            }
+        }
+        b += plan.workers;
+    }
+    Ok(fold)
+}
+
+/// One worker, sequential stopping rule: simulates blocks of
+/// `batch_lanes` paths and feeds the generator in index order until it
+/// completes. A block may overshoot completion by up to `lanes − 1`
+/// paths; those are recorded in the stats but never consumed, and their
+/// errors and lock verdicts cannot fail the finished estimate — the same
+/// gating the round-robin collector applies to in-flight samples.
 fn analyze_sequential_impl<S: PathSource>(
     source: &S,
     config: &SimConfig,
+    mut generator: Box<dyn Generator>,
     obs: Option<&SimObserver>,
 ) -> Result<AnalysisResult, SimError> {
     let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
     let mut strategy = config.strategy.instantiate();
     let mut scratch = source.make_scratch();
     let mut stats = PathStats::default();
@@ -459,99 +540,54 @@ fn analyze_sequential_impl<S: PathSource>(
     let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
 
     while !generator.is_complete() {
-        // Batch width: never overshoot a known sample target, so a
-        // fixed-count (Chernoff) run samples exactly its target and the
-        // estimate matches the scalar loop bit-for-bit. Sequential
-        // stopping rules have no target; an overshoot of at most
-        // `lanes − 1` paths is drained below under the same consumption
-        // gating the parallel collector applies to in-flight samples.
-        let count = match generator.known_target() {
-            Some(n) => n.saturating_sub(generator.samples()).min(lanes as u64).max(1) as usize,
-            None => lanes,
-        };
         let sampled_at = obs.map(|_| Instant::now());
-        source.sample_batch(index, 1, count, &mut scratch, strategy.as_mut(), obs, &mut batch);
-        let per_path = sampled_at.map(|t0| t0.elapsed() / count as u32);
-        // Worker attribution is flushed once per batch (one counter pass
-        // instead of one per path) — the totals are identical.
-        let mut w_paths = 0u64;
-        let mut w_satisfied = 0u64;
-        let flush_worker = |o: Option<&SimObserver>, paths: u64, satisfied: u64| {
-            if let (Some(o), Some(d)) = (o, per_path) {
-                o.record_worker_batch(0, paths, satisfied, d);
-            }
-        };
+        let (scratch, strategy) = (&mut scratch, strategy.as_mut());
+        source.sample_block(index, lanes, scratch, strategy, obs, &mut NoopProfile, &mut batch);
+        if let (Some(o), Some(t0)) = (obs, sampled_at) {
+            let paths = batch.iter().flatten();
+            let satisfied = paths.clone().filter(|p| p.verdict.is_success()).count() as u64;
+            o.record_worker_batch(0, paths.count() as u64, satisfied, t0.elapsed() / lanes as u32);
+        }
         for (j, res) in batch.drain(..).enumerate() {
             let complete = generator.is_complete();
-            match res {
-                Ok(outcome) => {
-                    if !complete {
-                        if let Err(e) = check_deadlock_policy(config, &outcome) {
-                            flush_worker(obs, w_paths, w_satisfied);
-                            return Err(e);
-                        }
-                    }
-                    if per_path.is_some() {
-                        w_paths += 1;
-                        w_satisfied += u64::from(outcome.verdict.is_success());
-                    }
-                    stats.record(&outcome);
-                    if !complete {
-                        generator.add(outcome.verdict.is_success());
-                        if let Some(o) = obs {
-                            o.offer_witness(index + j as u64, outcome.verdict);
-                            convergence.after_sample(generator.as_ref(), config.accuracy, o);
-                            o.on_progress(
-                                generator.samples(),
-                                generator.known_target(),
-                                current_estimate(generator.as_ref(), config.accuracy),
-                            );
-                        }
-                    }
-                }
-                // An error past completion belongs to a path the scalar
-                // loop would never have sampled: ignore it, like the
-                // parallel drain ignores late worker errors.
-                Err(e) => {
-                    if !complete {
-                        flush_worker(obs, w_paths, w_satisfied);
-                        return Err(e);
-                    }
-                }
+            let outcome = match res {
+                Ok(outcome) => outcome,
+                Err(e) if !complete => return Err(e),
+                Err(_) => continue,
+            };
+            if !complete {
+                check_deadlock_policy(config, &outcome)?;
+            }
+            stats.record(&outcome);
+            if complete {
+                continue;
+            }
+            generator.add(outcome.verdict.is_success());
+            if let Some(o) = obs {
+                o.offer_witness(index + j as u64, outcome.verdict);
+                convergence.after_sample(generator.as_ref(), config.accuracy, o);
+                let estimate = current_estimate(generator.as_ref(), config.accuracy);
+                o.on_progress(generator.samples(), None, estimate);
             }
         }
-        flush_worker(obs, w_paths, w_satisfied);
-        index += count as u64;
+        index += lanes as u64;
     }
 
-    let sim_wall = start.elapsed();
-    Ok(finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        source.state_bytes(),
-        obs,
-        sim_wall,
-    ))
+    Ok(finish_run(start, generator.as_ref(), config.accuracy, stats, source.state_bytes(), obs))
 }
 
-fn analyze_parallel_impl<S: PathSource>(
+/// Several workers, sequential stopping rule: workers sample one path at
+/// a time until told to stop (completion must be able to react between
+/// outcomes), and the round-robin collector removes arrival-order bias.
+fn analyze_round_robin_impl<S: PathSource>(
     source: &S,
     config: &SimConfig,
+    mut generator: Box<dyn Generator>,
     obs: Option<&SimObserver>,
 ) -> Result<AnalysisResult, SimError> {
     let start = Instant::now();
-    let mut generator = config.generator.instantiate(config.accuracy);
     let workers = config.workers;
-    let lanes = config.batch_lanes.max(1);
     let stop = AtomicBool::new(false);
-
-    // With an a-priori known sample count (CH bound), split statically:
-    // each worker computes its share (§III-C's trivial solution). With
-    // sequential generators the workers run until told to stop, and the
-    // round-robin collector removes arrival-order bias.
-    let quota: Option<Vec<u64>> = generator.known_target().map(|n| split_workload(n, workers));
 
     let mut collector: RoundRobinCollector<Verdict> = RoundRobinCollector::new(workers);
     let mut stats = PathStats::default();
@@ -571,7 +607,7 @@ fn analyze_parallel_impl<S: PathSource>(
     // `std::thread::scope`; map that to a structured error as a backstop —
     // workers additionally catch their own panics below so the estimate
     // protocol can react *before* the scope unwinds.
-    let scoped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    let scoped = catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| -> Result<(), SimError> {
             let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Result<PathOutcome, SimError>)>(
                 workers * 64,
@@ -579,68 +615,43 @@ fn analyze_parallel_impl<S: PathSource>(
             for w in 0..workers {
                 let tx = tx.clone();
                 let stop = &stop;
-                let quota = quota.as_ref().map(|q| q[w]);
                 let strategy_kind = config.strategy;
                 scope.spawn(move || {
-                    let body = std::panic::AssertUnwindSafe(|| {
+                    let body = AssertUnwindSafe(|| {
                         let mut strategy = strategy_kind.instantiate();
                         // Created inside the worker: the scratch never
                         // crosses threads, so it needs no Send bound.
                         let mut scratch = source.make_scratch();
+                        let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
                         // Worker w handles path indices w, w + k, w + 2k, …
                         let mut index = w as u64;
-                        let mut produced: u64 = 0;
-                        let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
-                        'work: loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Quota'd (fixed-target) runs batch up to the
-                            // configured lane width — the target is known
-                            // a priori, so whole lanes can be committed.
-                            // Sequential stopping rules sample one path at
-                            // a time: completion must be able to react
-                            // between outcomes, and a batch finished as a
-                            // unit would deliver its early outcomes as
-                            // late as its slowest lane.
-                            let count = match quota {
-                                Some(q) => {
-                                    if produced >= q {
-                                        break;
-                                    }
-                                    (q - produced).min(lanes as u64) as usize
-                                }
-                                None => 1,
-                            };
+                        while !stop.load(Ordering::Relaxed) {
                             let sampled_at = obs.map(|_| Instant::now());
-                            source.sample_batch(
+                            source.sample_block(
                                 index,
-                                workers as u64,
-                                count,
+                                1,
                                 &mut scratch,
                                 strategy.as_mut(),
                                 obs,
+                                &mut NoopProfile,
                                 &mut batch,
                             );
-                            let per_path = sampled_at.map(|t0| t0.elapsed() / count as u32);
-                            for out in batch.drain(..) {
-                                if let (Some(o), Some(d), Ok(outcome)) = (obs, per_path, &out) {
-                                    o.record_worker_path(w, outcome, d);
-                                }
-                                let failed = out.is_err();
-                                if tx.send((w, out)).is_err() || failed {
-                                    break 'work;
-                                }
+                            let Some(out) = batch.pop() else { break };
+                            if let (Some(o), Some(t0), Ok(outcome)) = (obs, sampled_at, &out) {
+                                o.record_worker_path(w, outcome, t0.elapsed());
                             }
-                            produced += count as u64;
-                            index += workers as u64 * count as u64;
+                            let failed = out.is_err();
+                            if tx.send((w, out)).is_err() || failed {
+                                break;
+                            }
+                            index += workers as u64;
                         }
                     });
                     // A panicking worker reports itself as a structured
                     // failure instead of silently starving the round-robin
                     // protocol (its rounds would otherwise never complete
                     // and sequential generators would spin forever).
-                    if let Err(payload) = std::panic::catch_unwind(body) {
+                    if let Err(payload) = catch_unwind(body) {
                         let detail = panic_message(payload.as_ref());
                         let _ = tx.send((w, Err(SimError::WorkerFailed { detail })));
                     }
@@ -654,82 +665,59 @@ fn analyze_parallel_impl<S: PathSource>(
             // deadlock policy nor through late worker errors.
             let mut complete = false;
             loop {
-                match rx.recv() {
+                let disconnected = match rx.recv() {
                     Ok((w, Ok(outcome))) => {
                         if !complete {
                             check_deadlock_policy(config, &outcome)?;
                         }
                         stats.record(&outcome);
                         collector.push(w, outcome.verdict);
-                        round_buf.clear();
-                        collector.drain_rounds_into(&mut round_buf);
-                        if !round_buf.is_empty() {
-                            if let Some(o) = obs {
-                                o.record_drain(
-                                    round_buf.len(),
-                                    collector.buffered(),
-                                    last_drain.elapsed(),
-                                );
-                                last_drain = Instant::now();
-                            }
-                            for &v in &round_buf {
-                                if !generator.is_complete() {
-                                    generator.add(v.is_success());
-                                    if let Some(o) = obs {
-                                        o.offer_witness(consumed, v);
-                                        convergence.after_sample(
-                                            generator.as_ref(),
-                                            config.accuracy,
-                                            o,
-                                        );
-                                    }
-                                }
-                                consumed += 1;
-                            }
-                            if let Some(o) = obs {
-                                o.on_progress(
-                                    generator.samples(),
-                                    generator.known_target(),
-                                    current_estimate(generator.as_ref(), config.accuracy),
-                                );
-                            }
-                        }
-                        if !complete && generator.is_complete() {
-                            complete = true;
-                            stop.store(true, Ordering::Relaxed);
-                            // Keep draining the channel so workers can exit.
-                        }
+                        false
                     }
-                    Ok((_, Err(e))) => {
-                        if !complete {
-                            stop.store(true, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                        // Late failure in a path the estimate never needed:
-                        // ignore and keep draining.
+                    Ok((_, Err(e))) if !complete => {
+                        stop.store(true, Ordering::Relaxed);
+                        return Err(e);
                     }
-                    Err(_) => break, // all senders dropped
-                }
-            }
-            // Channel closed: all workers exited. Mark them finished and
-            // consume any leftover complete rounds.
-            for w in 0..workers {
-                collector.finish_worker(w);
-            }
-            round_buf.clear();
-            collector.drain_rounds_into(&mut round_buf);
-            if let (Some(o), false) = (obs, round_buf.is_empty()) {
-                o.record_drain(round_buf.len(), collector.buffered(), last_drain.elapsed());
-            }
-            for &v in &round_buf {
-                if !generator.is_complete() {
-                    generator.add(v.is_success());
+                    // Late failure in a path the estimate never needed.
+                    Ok((_, Err(_))) => continue,
+                    // All senders dropped: every worker exited, so their
+                    // leftover complete rounds can be consumed.
+                    Err(_) => {
+                        for w in 0..workers {
+                            collector.finish_worker(w);
+                        }
+                        true
+                    }
+                };
+                round_buf.clear();
+                collector.drain_rounds_into(&mut round_buf);
+                if !round_buf.is_empty() {
                     if let Some(o) = obs {
-                        o.offer_witness(consumed, v);
-                        convergence.after_sample(generator.as_ref(), config.accuracy, o);
+                        o.record_drain(round_buf.len(), collector.buffered(), last_drain.elapsed());
+                        last_drain = Instant::now();
+                    }
+                    for &v in &round_buf {
+                        if !generator.is_complete() {
+                            generator.add(v.is_success());
+                            if let Some(o) = obs {
+                                o.offer_witness(consumed, v);
+                                convergence.after_sample(generator.as_ref(), config.accuracy, o);
+                            }
+                        }
+                        consumed += 1;
+                    }
+                    if let Some(o) = obs {
+                        let estimate = current_estimate(generator.as_ref(), config.accuracy);
+                        o.on_progress(generator.samples(), None, estimate);
                     }
                 }
-                consumed += 1;
+                if disconnected {
+                    break;
+                }
+                if !complete && generator.is_complete() {
+                    complete = true;
+                    stop.store(true, Ordering::Relaxed);
+                }
             }
             Ok(())
         })
@@ -738,16 +726,7 @@ fn analyze_parallel_impl<S: PathSource>(
         scoped.map_err(|_| SimError::WorkerFailed { detail: "worker thread panicked".into() })?;
     result?;
 
-    let sim_wall = start.elapsed();
-    Ok(finish_run(
-        start,
-        generator.as_ref(),
-        config.accuracy,
-        stats,
-        source.state_bytes(),
-        obs,
-        sim_wall,
-    ))
+    Ok(finish_run(start, generator.as_ref(), config.accuracy, stats, source.state_bytes(), obs))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -823,10 +802,23 @@ mod tests {
         assert_eq!(p1.batch_counts(), p4.batch_counts());
         assert!(p1.total_ops() > 0);
         assert!(p1.delay_solve_count() > 0);
-        // The estimate also matches the unprofiled runner on the same
-        // config (same path set, same consumption order).
-        let plain = analyze(&net, &prop, &base.with_workers(1)).unwrap();
-        assert_eq!(r1.estimate, plain.estimate);
+        // The estimate, stats and observations also match the unprofiled
+        // runner on the same config (same path set, same consumption
+        // order).
+        let observe = |profiled: bool| {
+            let obs = SimObserver::new(4).with_witness_capture(2);
+            let cfg = base.with_workers(4);
+            let r = if profiled {
+                analyze_profiled(&net, &prop, &cfg, Some(&obs)).unwrap().0
+            } else {
+                analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap()
+            };
+            let satisfied = obs.snapshot().counters["paths.satisfied"];
+            (r.estimate, r.stats, obs.witness_selection(), obs.convergence(), satisfied)
+        };
+        let plain = observe(false);
+        assert_eq!(observe(true), plain);
+        assert_eq!(r1.estimate, plain.0);
     }
 
     /// The worker-count test's model: a Markovian race plus a
@@ -952,7 +944,7 @@ mod tests {
             "estimate {} vs exact {exact}",
             r.probability()
         );
-        // All quota'd samples accounted for.
+        // Exactly the fixed target's samples are consumed.
         assert_eq!(r.estimate.samples, cfg.accuracy.chernoff_samples());
     }
 
@@ -1097,8 +1089,8 @@ mod tests {
         let ws = obs.worker_stats();
         assert_eq!(ws.iter().map(|w| w.paths).sum::<u64>(), r.stats.total());
         assert_eq!(ws.iter().map(|w| w.satisfied).sum::<u64>(), r.stats.satisfied);
-        // Consumed (round-robin) samples match the estimate exactly.
-        assert_eq!(snap.counters["collector.samples_consumed"], r.estimate.samples);
+        // A fixed-target run has no round-robin collector to describe.
+        assert!(!snap.counters.keys().any(|k| k.starts_with("collector.")), "{snap:?}");
         let phases = obs.phases();
         let names: Vec<&str> = phases.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, vec!["simulate", "estimate"]);
@@ -1111,7 +1103,8 @@ mod tests {
         let (net, prop) = exp_net(1.0);
         let cfg = loose().with_accuracy(Accuracy::new(0.1, 0.1).unwrap()).with_workers(2);
         let last = Arc::new(AtomicU64::new(0));
-        let last2 = Arc::clone(&last);
+        let live = Arc::new(AtomicU64::new(0));
+        let (last2, live2) = (Arc::clone(&last), Arc::clone(&live));
         let obs = SimObserver::new(2).with_progress(Box::new(move |done, target, estimate| {
             assert!(target.is_some(), "CH bound has a known target");
             if done > 0 {
@@ -1119,10 +1112,15 @@ mod tests {
                 assert!((0.0..=1.0).contains(&mean));
                 assert!(half_width > 0.0);
             }
+            if done < target.unwrap() {
+                live2.fetch_add(1, Ordering::Relaxed);
+            }
             last2.store(done, Ordering::Relaxed);
         }));
         let r = analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap();
         assert_eq!(last.load(Ordering::Relaxed), r.estimate.samples);
+        // Worker 0 reports the workers' counters while they still run.
+        assert!(live.load(Ordering::Relaxed) > 0);
     }
 
     #[test]
@@ -1208,40 +1206,22 @@ mod tests {
 
         fn make_scratch(&self) {}
 
-        fn sample(
+        fn sample_block<P: ProfileHooks>(
             &self,
-            index: u64,
+            start: u64,
+            count: usize,
             _scratch: &mut (),
             _strategy: &mut dyn Strategy,
             _obs: Option<&SimObserver>,
-        ) -> Result<PathOutcome, SimError> {
-            (self.0)(index)
+            _prof: &mut P,
+            out: &mut Vec<Result<PathOutcome, SimError>>,
+        ) {
+            out.clear();
+            out.extend((start..start + count as u64).map(&self.0));
         }
 
         fn state_bytes(&self) -> usize {
             64
-        }
-    }
-
-    #[test]
-    fn worker_panic_maps_to_worker_failed() {
-        // Worker 1 (odd indices) panics on its first path. The runner must
-        // surface a structured error with the panic message — not hang
-        // waiting for rounds that worker will never fill.
-        let source = FnSource(|index| {
-            if index % 2 == 1 {
-                panic!("injected failure on path {index}");
-            }
-            Ok(sat(1))
-        });
-        let cfg =
-            SimConfig::default().with_accuracy(Accuracy::new(0.2, 0.2).unwrap()).with_workers(2);
-        let err = analyze_parallel_impl(&source, &cfg, None).unwrap_err();
-        match err {
-            SimError::WorkerFailed { detail } => {
-                assert!(detail.contains("injected failure"), "detail: {detail}");
-            }
-            other => panic!("expected WorkerFailed, got {other:?}"),
         }
     }
 
@@ -1260,24 +1240,61 @@ mod tests {
             .with_accuracy(Accuracy::new(0.1, 0.1).unwrap())
             .with_generator(GeneratorKind::Gauss)
             .with_workers(2);
-        assert!(matches!(
-            analyze_parallel_impl(&source, &cfg, None),
-            Err(SimError::WorkerFailed { .. })
-        ));
+        assert!(matches!(analyze_source(&source, &cfg, None), Err(SimError::WorkerFailed { .. })));
+    }
+
+    #[test]
+    fn worker_panic_maps_to_worker_failed() {
+        // Paths 2 and 9 panic. The runner must surface a structured error
+        // with the lowest panicking path's message — not hang or unwind.
+        // Path 2 lies in block 0, which worker 0, the calling thread,
+        // simulates.
+        let caller = std::thread::current().id();
+        let source = FnSource(|index| {
+            if index == 2 {
+                assert_eq!(std::thread::current().id(), caller);
+            }
+            if index == 2 || index == 9 {
+                panic!("injected failure on path {index}");
+            }
+            Ok(sat(1))
+        });
+        for workers in 1..=4 {
+            match analyze_source(&source, &fixed_config(workers), None) {
+                Err(SimError::WorkerFailed { detail }) => {
+                    assert!(detail.contains("injected failure on path 2"), "detail: {detail}");
+                }
+                other => panic!("workers={workers}: expected WorkerFailed, got {other:?}"),
+            }
+        }
     }
 
     #[test]
     fn parallel_deadlock_policy_error_aborts() {
-        let source =
-            FnSource(|_| Ok(PathOutcome { verdict: Verdict::Deadlock, steps: 2, end_time: 0.25 }));
-        let cfg = SimConfig::default()
-            .with_accuracy(Accuracy::new(0.2, 0.2).unwrap())
-            .with_workers(2)
-            .with_deadlock_policy(DeadlockPolicy::Error);
-        assert!(matches!(
-            analyze_parallel_impl(&source, &cfg, None),
-            Err(SimError::DeadlockDetected { .. })
-        ));
+        // Locks at paths 13 and 50; the lower one is slow, so under
+        // first-to-arrive semantics path 50's lock would be reported.
+        let lock_at = |index: u64| PathOutcome {
+            verdict: Verdict::Deadlock,
+            steps: 1,
+            end_time: index as f64,
+        };
+        let source = FnSource(|index| match index {
+            13 => {
+                std::thread::sleep(Duration::from_millis(50));
+                Ok(lock_at(13))
+            }
+            50 => Ok(lock_at(50)),
+            _ => Ok(sat(1)),
+        });
+        for workers in 1..=4 {
+            let cfg = fixed_config(workers).with_deadlock_policy(DeadlockPolicy::Error);
+            match analyze_source(&source, &cfg, None) {
+                Err(SimError::DeadlockDetected { time, .. }) => {
+                    assert_eq!(time, 13.0, "workers={workers}");
+                }
+                other => panic!("workers={workers}: expected DeadlockDetected, got {other:?}"),
+            }
+        }
     }
 
     /// Gauss at (ε, δ) = (0.1, 0.1) completes after exactly 50 uniform
@@ -1310,7 +1327,7 @@ mod tests {
         let source = late_source(|index| {
             Err(SimError::WorkerFailed { detail: format!("late failure on path {index}") })
         });
-        let r = analyze_parallel_impl(&source, &late_outcome_config(), None)
+        let r = analyze_source(&source, &late_outcome_config(), None)
             .expect("completed estimate must survive late worker errors");
         assert_eq!(r.estimate.samples, 50);
         assert_eq!(r.estimate.mean, 1.0);
@@ -1322,12 +1339,102 @@ mod tests {
             Ok(PathOutcome { verdict: Verdict::Deadlock, steps: 3, end_time: 0.75 })
         });
         let cfg = late_outcome_config().with_deadlock_policy(DeadlockPolicy::Error);
-        let r = analyze_parallel_impl(&source, &cfg, None)
+        let r = analyze_source(&source, &cfg, None)
             .expect("completed estimate must survive late lock verdicts");
         assert_eq!(r.estimate.samples, 50);
         assert_eq!(r.estimate.mean, 1.0);
         // The late deadlocks are still *counted* (they happened), they
         // just cannot fail the already-final estimate.
         assert!(r.stats.deadlocks <= 2);
+    }
+
+    // --- Fixed-target runner: shared-nothing folds, index-order merge ---
+
+    /// Chernoff at (0.1, 0.1): 150 paths, in blocks of 4.
+    fn fixed_config(workers: usize) -> SimConfig {
+        SimConfig::default()
+            .with_accuracy(Accuracy::new(0.1, 0.1).unwrap())
+            .with_workers(workers)
+            .with_batch_lanes(4)
+    }
+
+    #[test]
+    fn fixed_target_reports_lowest_index_error_at_any_worker_count() {
+        // Errors at paths 21 and 37; the lower one is slow, so under
+        // first-to-arrive semantics path 37's error would win.
+        let source = FnSource(|index| match index {
+            21 => {
+                std::thread::sleep(Duration::from_millis(50));
+                Err(SimError::StepLimitExceeded { limit: 21 })
+            }
+            37 => Err(SimError::StepLimitExceeded { limit: 37 }),
+            _ => Ok(sat(1)),
+        });
+        for workers in 1..=4 {
+            let err = analyze_source(&source, &fixed_config(workers), None).unwrap_err();
+            assert_eq!(err, SimError::StepLimitExceeded { limit: 21 }, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fixed_target_runs_worker_zero_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        let caller = std::thread::current().id();
+        for workers in 1..=4 {
+            let threads = Mutex::new(HashSet::new());
+            let source = FnSource(|_| {
+                threads.lock().unwrap().insert(std::thread::current().id());
+                Ok(sat(1))
+            });
+            analyze_source(&source, &fixed_config(workers), None).unwrap();
+            let threads = threads.into_inner().unwrap();
+            // k workers on k threads: the caller plus k − 1 spawned ones.
+            assert_eq!(threads.len(), workers, "workers={workers}");
+            assert!(threads.contains(&caller), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn fixed_target_observations_identical_across_worker_counts() {
+        // A verdict mix with goals and locks scattered over the blocks.
+        let source = FnSource(|index| {
+            let verdict = match index.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 61 {
+                0..=2 => Verdict::Satisfied,
+                3 => Verdict::Deadlock,
+                4 => Verdict::Timelock,
+                _ => Verdict::TimeBoundExceeded,
+            };
+            Ok(PathOutcome { verdict, steps: index % 7, end_time: (index % 5) as f64 * 0.1 })
+        });
+        let observe = |workers: usize| {
+            let obs = SimObserver::new(workers).with_witness_capture(3);
+            let r = analyze_source(&source, &fixed_config(workers), Some(&obs)).unwrap();
+            (r.estimate, r.stats, obs.witness_selection().unwrap(), obs.convergence())
+        };
+        let reference = observe(1);
+        assert_eq!(reference.0.samples, 150);
+        assert_eq!(reference.2.goal().len(), 3);
+        assert_eq!(reference.2.lock().len(), 3);
+        for workers in 2..=4 {
+            assert_eq!(observe(workers), reference, "workers={workers}");
+        }
+        // The selection is the first three of each category by index.
+        let mut expected = WitnessSelector::new(3);
+        for index in 0..150 {
+            expected.offer(index, source.0(index).unwrap().verdict);
+        }
+        assert_eq!(reference.2, expected);
+    }
+
+    #[test]
+    fn round_robin_runs_report_collector_metrics() {
+        let (net, prop) = exp_net(1.0);
+        let cfg = loose().with_generator(GeneratorKind::Gauss).with_workers(2).with_seed(3);
+        let obs = SimObserver::new(2);
+        let r = analyze_observed(&net, &prop, &cfg, Some(&obs)).unwrap();
+        let snap = obs.snapshot();
+        assert!(snap.counters["collector.rounds_drained"] > 0);
+        assert!(snap.counters["collector.samples_consumed"] >= r.estimate.samples);
     }
 }

@@ -69,6 +69,19 @@ impl WitnessSelector {
         }
     }
 
+    /// Merges another selector's picks over a disjoint set of paths, for
+    /// runs whose consumption order is path-index order: each category
+    /// keeps the `k` lowest indices of the union. Since each part holds its
+    /// own first `k`, merging every part's picks yields exactly the
+    /// selection one selector offered all paths in index order would make.
+    pub fn merge(&mut self, other: &WitnessSelector) {
+        for (mine, theirs) in [(&mut self.goal, &other.goal), (&mut self.lock, &other.lock)] {
+            mine.extend_from_slice(theirs);
+            mine.sort_unstable();
+            mine.truncate(self.k);
+        }
+    }
+
     /// Selected goal-path indices, in consumption order.
     pub fn goal(&self) -> &[u64] {
         &self.goal

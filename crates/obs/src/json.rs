@@ -52,6 +52,22 @@ impl Json {
         }
     }
 
+    /// A `u64` written losslessly, as a decimal string: JSON numbers are
+    /// read back as `f64`, which rounds integers above 2⁵³ (a derived
+    /// seed, for one).
+    pub fn u64_str(v: u64) -> Json {
+        Json::Str(v.to_string())
+    }
+
+    /// The value as a `u64` written by [`Json::u64_str`], or in the older
+    /// numeric form (see [`Json::as_u64`]).
+    pub fn as_u64_lossless(&self) -> Option<u64> {
+        match self {
+            Json::Str(s) => s.parse().ok(),
+            _ => self.as_u64(),
+        }
+    }
+
     /// The value as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {

@@ -634,7 +634,7 @@ impl ProfileReport {
             ("schema_version", Json::Num(self.schema_version as f64)),
             ("kind", Json::str(PROFILE_KIND)),
             ("model", Json::str(&self.model)),
-            ("seed", Json::Num(self.seed as f64)),
+            ("seed", Json::u64_str(self.seed)),
             ("samples", Json::Num(self.samples as f64)),
             ("total_ops", Json::Num(self.total_ops as f64)),
             ("ops", entries(&self.ops)),
@@ -726,7 +726,7 @@ impl ProfileReport {
         Ok(ProfileReport {
             schema_version: req_u64(v, "schema_version", "profile")?,
             model: req_str(v, "model", "profile")?,
-            seed: req_u64(v, "seed", "profile")?,
+            seed: crate::report::req_seed(v, "profile")?,
             samples: req_u64(v, "samples", "profile")?,
             total_ops: req_u64(v, "total_ops", "profile")?,
             ops: entries("ops")?,
@@ -989,6 +989,10 @@ mod tests {
         assert_eq!(back, r);
         // Determinism at the byte level: serializing twice is identical.
         assert_eq!(text, back.to_json().to_pretty());
+        // Seeds above 2^53 survive the round trip.
+        let r = ProfileReport::from_profile(&p, &labels(), "toy", u64::MAX, 1);
+        let back = ProfileReport::from_json(&Json::parse(&r.to_json().to_compact()).unwrap());
+        assert_eq!(back.unwrap().seed, u64::MAX);
     }
 
     #[test]

@@ -294,7 +294,7 @@ impl RunReport {
                     ("generator", Json::str(&self.config.generator)),
                     ("deadlock_policy", Json::str(&self.config.deadlock_policy)),
                     ("max_steps", Json::Num(self.config.max_steps as f64)),
-                    ("seed", Json::Num(self.config.seed as f64)),
+                    ("seed", Json::u64_str(self.config.seed)),
                     ("workers", Json::Num(self.config.workers as f64)),
                 ]),
             ),
@@ -409,7 +409,7 @@ impl RunReport {
                 generator: req_str(config, "generator", "config")?,
                 deadlock_policy: req_str(config, "deadlock_policy", "config")?,
                 max_steps: req_u64(config, "max_steps", "config")?,
-                seed: req_u64(config, "seed", "config")?,
+                seed: req_seed(config, "config")?,
                 workers: req_u64(config, "workers", "config")?,
             },
             estimate: EstimateInfo {
@@ -619,6 +619,12 @@ fn req_f64(v: &Json, key: &str, ctx: &str) -> Result<f64, String> {
 
 fn req_u64(v: &Json, key: &str, ctx: &str) -> Result<u64, String> {
     v.get(key).and_then(Json::as_u64).ok_or(format!("{ctx}: missing integer `{key}`"))
+}
+
+/// Reads a seed, written as a decimal string since seeds may exceed 2⁵³,
+/// or as a number by older writers.
+pub(crate) fn req_seed(v: &Json, ctx: &str) -> Result<u64, String> {
+    v.get("seed").and_then(Json::as_u64_lossless).ok_or(format!("{ctx}: missing integer `seed`"))
 }
 
 fn metrics_to_json(m: &MetricsSnapshot) -> Json {
@@ -831,6 +837,29 @@ mod tests {
         assert!(problems.iter().any(|p| p.contains("verdict counts")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("outside [0, 1]")), "{problems:?}");
         assert!(problems.iter().any(|p| p.contains("schema_version")), "{problems:?}");
+    }
+
+    #[test]
+    fn seed_roundtrips_losslessly_above_2_pow_53() {
+        for seed in [u64::MAX, (1 << 53) + 1, 0] {
+            let mut r = sample_report();
+            r.config.seed = seed;
+            let text = r.to_json().to_pretty();
+            let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back.config.seed, seed);
+            assert_eq!(back, r);
+        }
+    }
+
+    #[test]
+    fn numeric_seed_of_older_writers_still_reads() {
+        let mut v = sample_report().to_json();
+        let Json::Obj(members) = &mut v else { unreachable!() };
+        let config = &mut members.iter_mut().find(|(k, _)| k == "config").unwrap().1;
+        let Json::Obj(config) = config else { unreachable!() };
+        config.iter_mut().find(|(k, _)| k == "seed").unwrap().1 = Json::Num(12_648_430.0);
+        let back = RunReport::from_json(&Json::parse(&v.to_compact()).unwrap()).unwrap();
+        assert_eq!(back.config.seed, 12_648_430);
     }
 
     #[test]
