@@ -354,9 +354,28 @@ pub struct StepTables {
     /// variables (the only ones `advance` mutates). All-ones when masking
     /// is disabled.
     advance_flow_mask: u64,
+    /// Incremental-enabling read masks of the τ guards, `[proc][loc]`
+    /// (see [`tau_read_mask`]). All `None` — every scan in full — under
+    /// [`CompileOptions::reference`] or with more than 64 variables.
+    tau_reads: Vec<Vec<Option<u64>>>,
+    /// False under [`CompileOptions::reference`]:
+    /// [`StepScratch::begin_path`] then leaves the scratch in full-scan
+    /// mode, rebuilding the Markovian list on every call too.
+    incremental: bool,
+    /// Some location has at least [`MIN_REUSE_GUARDS`] reusable guards.
+    incremental_pays: bool,
 }
 
 impl StepTables {
+    /// True when incremental enabling can pay on this network: the
+    /// optimizing tiers are on and some location holds at least
+    /// [`MIN_REUSE_GUARDS`] delay-free τ guards that a scan may skip. The
+    /// engine begins its paths with [`StepScratch::begin_path`] when this
+    /// holds and with [`StepScratch::begin_full_path`] otherwise.
+    pub fn incremental_pays(&self) -> bool {
+        self.incremental_pays
+    }
+
     /// Number of guards/invariants that could not be flattened to solver
     /// bytecode and fall back to the allocating AST solver at runtime.
     ///
@@ -868,6 +887,35 @@ struct ComboBuf {
     urgent: bool,
 }
 
+/// Sentinel location index: no cached scan or segment for this process.
+const NO_LOC: usize = usize::MAX;
+
+/// Per-path incremental-enabling state of a [`StepScratch`] (see
+/// [`StepScratch::begin_path`]). Every field is sized by the process
+/// count, so nothing here grows with the number of steps.
+#[derive(Debug, Default)]
+struct Incremental {
+    /// A path is in progress: scans may reuse earlier results.
+    active: bool,
+    /// Bit `v` set ⇒ variable `v` changed value since the last τ guard
+    /// scan. Written by effects and flow re-runs whether or not a path is
+    /// active; variables from index 64 on are not tracked (networks that
+    /// large never reuse a scan).
+    changed: u64,
+    /// Per process: the location the last scan evaluated with a reusable
+    /// result (its τ guards are all delay-free), or [`NO_LOC`], and which
+    /// of them were enabled (bit `i` ⇒ guard `i`).
+    tau: Vec<(usize, u64)>,
+    /// The Markovian list was built since the path began; later calls
+    /// patch it.
+    markov_built: bool,
+    /// Per process: the location its Markovian segment was built for.
+    markov_loc: Vec<usize>,
+    /// Segment boundaries in the Markovian list: process `p` owns
+    /// `markov_start[p]..markov_start[p + 1]`.
+    markov_start: Vec<usize>,
+}
+
 /// Reusable per-worker workspace for the compiled kernel.
 ///
 /// All buffers grow to a high-water mark during the first few steps and
@@ -891,6 +939,8 @@ pub struct StepScratch {
     combo_b: Vec<ComboBuf>,
     n_combo_b: usize,
     markov: Vec<(ProcId, TransId, f64)>,
+    markov_total: f64,
+    inc: Incremental,
     writes: Vec<(VarId, Value)>,
     backup: NetState,
     // Dedicated to `invariants_violated`: its throwaway window output may
@@ -924,6 +974,8 @@ impl StepScratch {
             combo_b: Vec::new(),
             n_combo_b: 0,
             markov: Vec::new(),
+            markov_total: 0.0,
+            inc: Incremental::default(),
             writes: Vec::new(),
             backup: NetState::new(Vec::new(), Valuation::new(Vec::new())),
             inv_check: IntervalSet::empty(),
@@ -942,6 +994,76 @@ impl StepScratch {
     pub fn markovian(&self) -> &[(ProcId, TransId, f64)] {
         &self.markov
     }
+
+    /// Total exit rate of [`StepScratch::markovian`], summed in list order
+    /// by the last [`Network::markovian_candidates_into`] call.
+    pub fn markovian_total(&self) -> f64 {
+        self.markov_total
+    }
+
+    /// Begins a path: switches the scratch to incremental enabling for
+    /// `t`'s network, forgetting everything cached for earlier paths.
+    ///
+    /// Until the next `begin_path`, the τ guard scan of
+    /// [`Network::guarded_candidates_into`] skips a process whose
+    /// location is unchanged since the previous scan, whose τ guards are
+    /// all delay-free, and none of whose read variables changed value; it
+    /// re-emits the previous scan's enabled set instead. The Markovian
+    /// list is patched in place for processes that moved. Both are exact
+    /// only while every change to the state goes through this scratch's
+    /// [`Network::advance_mut`] and [`Network::apply_mut`] family, so call
+    /// this whenever the state is (re)loaded. A scratch on which no path
+    /// was begun, or which was last begun with
+    /// [`StepScratch::begin_full_path`], scans in full, as does one begun
+    /// under tables compiled with [`CompileOptions::reference`]. With
+    /// more than 64 variables only the Markovian list is patched.
+    pub fn begin_path(&mut self, t: &StepTables) {
+        let n = t.tau.len();
+        let inc = &mut self.inc;
+        inc.active = t.incremental;
+        inc.changed = 0;
+        inc.markov_built = false;
+        if inc.tau.len() != n {
+            inc.markov_loc.resize(n, NO_LOC);
+            inc.markov_start.resize(n + 1, 0);
+            inc.tau.resize(n, (NO_LOC, 0));
+        }
+        inc.tau.fill((NO_LOC, 0));
+    }
+
+    /// Begins a path in full-scan mode: every later scan evaluates every
+    /// guard and rebuilds the Markovian list, as if no path had ever been
+    /// begun on this scratch.
+    pub fn begin_full_path(&mut self) {
+        self.inc.active = false;
+    }
+}
+
+/// Bit-level value identity: a write that stores the same bits is not a
+/// change (`-0.0` → `0.0` is one, since a guard may divide by it).
+fn same_value(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::Bool(x), Value::Bool(y)) => x == y,
+        (Value::Int(x), Value::Int(y)) => x == y,
+        (Value::Real(x), Value::Real(y)) => x.to_bits() == y.to_bits(),
+        _ => false,
+    }
+}
+
+/// Writes `v := value`, setting `v`'s bit in `changed` when the stored
+/// value differs. Errors exactly like [`Valuation::set`].
+#[inline]
+fn set_tracked(
+    nu: &mut Valuation,
+    v: VarId,
+    value: Value,
+    changed: &mut u64,
+) -> Result<(), EvalError> {
+    let old = nu.replace(v, value)?;
+    if v.0 < 64 && !same_value(old, value) {
+        *changed |= 1 << v.0;
+    }
+    Ok(())
 }
 
 /// Acquires the next candidate slot, reusing retired buffers.
@@ -995,17 +1117,48 @@ fn rated_vars(net: &Network) -> Vec<bool> {
     rated
 }
 
+/// The variable a solver op reads, if any — exhaustive, so a new op
+/// cannot silently escape the delay-free tiering or the read masks.
+fn solve_op_var(op: &SolveOp) -> Option<VarId> {
+    match op {
+        SolveOp::SetVar(v)
+        | SolveOp::SetVarNot(v)
+        | SolveOp::AffVar(v)
+        | SolveOp::AffSelVar { v, .. }
+        | SolveOp::CmpVarConst(_, v, _)
+        | SolveOp::CmpConstVar(_, _, v)
+        | SolveOp::CmpVarConstAnd(_, v, _)
+        | SolveOp::CmpVarConstOr(_, v, _) => Some(*v),
+        SolveOp::SetTrue
+        | SolveOp::SetFalse
+        | SolveOp::Complement
+        | SolveOp::Intersect
+        | SolveOp::Union
+        | SolveOp::Xor
+        | SolveOp::BoolEq
+        | SolveOp::BoolNe
+        | SolveOp::IteSet
+        | SolveOp::Cmp(_)
+        | SolveOp::AffConst(_)
+        | SolveOp::AffNeg
+        | SolveOp::AffAdd
+        | SolveOp::AffSub
+        | SolveOp::AffMul(_)
+        | SolveOp::AffDiv(_)
+        | SolveOp::AffMin(_)
+        | SolveOp::AffMax(_)
+        | SolveOp::AffBranch { .. }
+        | SolveOp::AffJump(_) => None,
+    }
+}
+
 /// Downgrades a compiled program to the Boolean interpreter
-/// ([`GuardCode::DelayFree`]) when none of its affine ops can produce a
-/// non-constant form.
+/// ([`GuardCode::DelayFree`]) when none of its ops can produce a
+/// non-constant form. Boolean reads (`SetVar`, the `AffSelVar` condition)
+/// never carry a rate, so checking every variable read is exact.
 fn specialize_delay_free(code: GuardCode, rated: &[bool]) -> GuardCode {
     let delay_free = |p: &SolveProg| {
-        p.ops.iter().all(|op| match op {
-            SolveOp::AffVar(v) | SolveOp::CmpVarConst(_, v, _) | SolveOp::CmpConstVar(_, _, v) => {
-                !rated.get(v.0).copied().unwrap_or(false)
-            }
-            _ => true,
-        })
+        p.ops.iter().filter_map(solve_op_var).all(|v| !rated.get(v.0).copied().unwrap_or(false))
     };
     match code {
         GuardCode::Prog(p) if delay_free(&p) => GuardCode::DelayFree(p),
@@ -1038,6 +1191,34 @@ impl CompileOptions {
     pub fn reference() -> CompileOptions {
         CompileOptions { optimize: false }
     }
+}
+
+/// Incremental enabling pays only on networks with a location of at least
+/// this many reusable τ guards (see [`StepTables::incremental_pays`]).
+/// Below that, the per-step bookkeeping costs more than the scans it can
+/// skip: on the one-guard voting and repair models it measured 2–6%
+/// slower per step, while the 29-guard monitor of sensor–filter n = 14
+/// runs a third faster.
+const MIN_REUSE_GUARDS: usize = 4;
+
+/// Read mask of a `[proc][loc]` τ guard list for incremental enabling:
+/// the union of the guards' read sets when every guard is
+/// [`GuardCode::DelayFree`] (its truth is then a pure function of the
+/// variables it reads) and there are at most 64 of them. `None` means
+/// "evaluate in full". The caller guarantees every variable index is
+/// below 64.
+fn tau_read_mask(cgs: &[CompiledGuarded]) -> Option<u64> {
+    if cgs.len() > 64 {
+        return None;
+    }
+    let mut mask = 0u64;
+    for cg in cgs {
+        let GuardCode::DelayFree(prog) = &cg.guard else { return None };
+        for v in prog.ops.iter().filter_map(solve_op_var) {
+            mask |= 1 << v.0;
+        }
+    }
+    Some(mask)
 }
 
 fn compile_guard(e: &Expr, net: &Network, optimize: bool) -> GuardCode {
@@ -1672,6 +1853,20 @@ impl Network {
             .collect();
 
         let n_vars = self.vars().len();
+        let tau_reads: Vec<Vec<Option<u64>>> = tau
+            .iter()
+            .map(|by_loc| {
+                by_loc
+                    .iter()
+                    .map(|cgs| if optimize && n_vars <= 64 { tau_read_mask(cgs) } else { None })
+                    .collect()
+            })
+            .collect();
+        let incremental_pays = tau
+            .iter()
+            .flatten()
+            .zip(tau_reads.iter().flatten())
+            .any(|(cgs, reads)| reads.is_some() && cgs.len() >= MIN_REUSE_GUARDS);
         let advance_flow_mask = if optimize {
             flow_mask_from(
                 &flows,
@@ -1703,6 +1898,9 @@ impl Network {
             has_invariants,
             has_rates,
             advance_flow_mask,
+            tau_reads,
+            incremental: optimize,
+            incremental_pays,
         };
         #[cfg(debug_assertions)]
         if let Err(e) = tables.verify_bytecode() {
@@ -2636,13 +2834,42 @@ impl Network {
         // short-circuit on the Boolean interpreter: disabled guards cost
         // one `run_bool`, enabled ones a `set_all` — no interval-set
         // round-trip (the windows are identical either way).
+        //
+        // On a begun path, a location whose guards are all delay-free is
+        // skipped when its process has not moved and none of the
+        // variables they read changed value since the last scan: the
+        // guards would re-evaluate to the same truths, so the last
+        // scan's enabled set is re-emitted in guard order.
+        let reuse = s.inc.active;
         for (p, by_loc) in t.tau.iter().enumerate() {
-            for cg in &by_loc[state.locs[p].0] {
+            let loc = state.locs[p].0;
+            let reads = if reuse { t.tau_reads[p][loc] } else { None };
+            if let Some(mask) = reads {
+                let (cached, mut bits) = s.inc.tau[p];
+                if cached == loc && s.inc.changed & mask == 0 {
+                    while bits != 0 {
+                        let cg = &by_loc[loc][bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                        let c = next_cand(&mut s.cands, &mut s.n_cands);
+                        c.action = ActionId::TAU;
+                        c.parts.clear();
+                        c.parts.push((ProcId(p), cg.trans));
+                        c.window.set_all();
+                        c.urgent = cg.urgent;
+                    }
+                    continue;
+                }
+            }
+            let mut enabled_bits = 0u64;
+            for (i, cg) in by_loc[loc].iter().enumerate() {
                 let all = if let GuardCode::DelayFree(prog) = &cg.guard {
                     let enabled = delay_free_truth(prog, &state.nu, &mut s.solver, prof)?;
                     prof.guard_eval(p, cg.trans.0, enabled);
                     if !enabled {
                         continue;
+                    }
+                    if reads.is_some() {
+                        enabled_bits |= 1 << i;
                     }
                     true
                 } else {
@@ -2672,6 +2899,16 @@ impl Network {
                 }
                 c.urgent = cg.urgent;
             }
+            if reuse {
+                // A location that is not reusable must not leave a stale
+                // entry behind: the process may come back to the cached
+                // location after its reads changed unseen.
+                s.inc.tau[p] = (if reads.is_some() { loc } else { NO_LOC }, enabled_bits);
+            }
+        }
+        if reuse {
+            // Every process's cache now matches the current valuation.
+            s.inc.changed = 0;
         }
 
         // Synchronizing actions: every participant must join.
@@ -2771,13 +3008,42 @@ impl Network {
     /// Allocation-free [`Network::markovian_candidates`]: fills the
     /// scratch Markovian list (read it back via
     /// [`StepScratch::markovian`]) in the legacy enumeration order.
+    ///
+    /// On a begun path (see [`StepScratch::begin_path`]) the list is
+    /// patched in place: segments before the first process that moved
+    /// since the last call are kept, and a call where no process moved
+    /// keeps the list and its total. The list, its order and its total
+    /// are the same as a full rebuild's.
     pub fn markovian_candidates_into(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
-        s.markov.clear();
-        for (p, by_loc) in t.markov.iter().enumerate() {
-            for &(t_id, rate) in &by_loc[state.locs[p].0] {
+        let inc = &mut s.inc;
+        // Rebuild from the first process that moved: the segments before
+        // it are unchanged. Without a begun path that is process 0.
+        let first = if !inc.active {
+            0
+        } else if !inc.markov_built {
+            inc.markov_built = true;
+            0
+        } else {
+            match (0..t.markov.len()).find(|&p| inc.markov_loc[p] != state.locs[p].0) {
+                Some(p) => p,
+                None => return,
+            }
+        };
+        s.markov.truncate(if inc.active { inc.markov_start[first] } else { 0 });
+        for (p, by_loc) in t.markov.iter().enumerate().skip(first) {
+            let loc = state.locs[p].0;
+            if inc.active {
+                inc.markov_start[p] = s.markov.len();
+                inc.markov_loc[p] = loc;
+            }
+            for &(t_id, rate) in &by_loc[loc] {
                 s.markov.push((ProcId(p), t_id, rate));
             }
         }
+        if inc.active {
+            inc.markov_start[t.markov.len()] = s.markov.len();
+        }
+        s.markov_total = s.markov.iter().map(|&(_, _, r)| r).sum();
     }
 
     /// In-place [`Network::advance`]: advances `state` by `d` against the
@@ -2842,24 +3108,36 @@ impl Network {
                 allowed_up_to: window.sup().unwrap_or(0.0),
             });
         }
+        // A retreat restores the backup: every variable a read mask can
+        // hold that differs from it was marked on the way, so the marks
+        // stay a superset of the changes.
         if t.has_invariants {
             s.backup.copy_from(state);
         }
-        advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d, prof)?;
+        advance_unchecked_mut(t, &s.rates, &mut s.vals, &mut s.inc.changed, state, d, prof)?;
         // Floating-point robustness: retreat from invariant-boundary
         // overshoot exactly like the legacy `advance`. Invariant-free
         // models have nothing to overshoot.
         if t.has_invariants && d > 0.0 && self.invariants_violated(t, s, state, prof) {
             for backoff in [1e-12, 1e-9] {
                 state.copy_from(&s.backup);
-                advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d * (1.0 - backoff), prof)?;
+                let d = d * (1.0 - backoff);
+                advance_unchecked_mut(
+                    t,
+                    &s.rates,
+                    &mut s.vals,
+                    &mut s.inc.changed,
+                    state,
+                    d,
+                    prof,
+                )?;
                 if !self.invariants_violated(t, s, state, prof) {
                     return Ok(());
                 }
             }
             // Both retreats failed: return the full-d state, like legacy.
             state.copy_from(&s.backup);
-            advance_unchecked_mut(t, &s.rates, &mut s.vals, state, d, prof)?;
+            advance_unchecked_mut(t, &s.rates, &mut s.vals, &mut s.inc.changed, state, d, prof)?;
         }
         Ok(())
     }
@@ -2943,9 +3221,9 @@ impl Network {
         }
         for i in 0..s.writes.len() {
             let (var, v) = s.writes[i];
-            state.nu.set(var, v)?;
+            set_tracked(&mut state.nu, var, v, &mut s.inc.changed)?;
         }
-        run_flows_inner(t, flow_mask, &mut s.vals, &mut state.nu, prof)
+        run_flows_inner(t, flow_mask, &mut s.vals, &mut state.nu, &mut s.inc.changed, prof)
     }
 
     /// Compiles a standalone Boolean predicate (a property goal) for
@@ -3044,10 +3322,13 @@ fn advance_unchecked_mut<P: ProfileHooks>(
     t: &StepTables,
     rates: &[f64],
     vals: &mut Vec<Value>,
+    changed: &mut u64,
     state: &mut NetState,
     d: f64,
     prof: &mut P,
 ) -> Result<(), EvalError> {
+    // Rated variables are never read by a delay-free guard, so no read
+    // mask contains them: only the flow re-runs below record changes.
     let mut moved = false;
     for (i, r) in rates.iter().enumerate() {
         if *r != 0.0 {
@@ -3063,19 +3344,21 @@ fn advance_unchecked_mut<P: ProfileHooks>(
         // it already established; skip the re-run.
         return Ok(());
     }
-    run_flows_inner(t, t.advance_flow_mask, vals, &mut state.nu, prof)
+    run_flows_inner(t, t.advance_flow_mask, vals, &mut state.nu, changed, prof)
 }
 
 /// Re-establishes flows in definition (topological) order. Bit `i` of
 /// `mask` clear means flow `i`'s reads are untouched by the triggering
 /// writes (including transitively, via earlier flows), so it would
 /// re-evaluate to the value it already holds — skip it. An all-ones mask
-/// runs everything, which is also the fallback for >64 flows.
+/// runs everything, which is also the fallback for >64 flows. Targets
+/// whose value actually changes are marked in `changed`.
 fn run_flows_inner<P: ProfileHooks>(
     t: &StepTables,
     mask: u64,
     vals: &mut Vec<Value>,
     nu: &mut Valuation,
+    changed: &mut u64,
     prof: &mut P,
 ) -> Result<(), EvalError> {
     for (i, f) in t.flows.iter().enumerate() {
@@ -3097,7 +3380,7 @@ fn run_flows_inner<P: ProfileHooks>(
                 context: format!("flow into {} produced {}", f.name, v.kind()),
             });
         }
-        nu.set(f.target, v)?;
+        set_tracked(nu, f.target, v, changed)?;
     }
     Ok(())
 }
@@ -3532,6 +3815,10 @@ mod tests {
             let mut st = net.initial_state().unwrap();
             let mut st_c = st.clone();
             let mut window = IntervalSet::empty();
+            // Odd paths scan incrementally, even paths in full.
+            if path % 2 == 1 {
+                s.begin_path(&tables);
+            }
             for _ in 0..60 {
                 assert_eq!(st, st_c, "states diverged");
                 let w = net.delay_window(&st);
@@ -3557,6 +3844,8 @@ mod tests {
                     assert_eq!(l.transition.parts, vec![(p, t)]);
                     assert_eq!(l.rate, rate);
                 }
+                let total: f64 = markov.iter().map(|m| m.rate).sum();
+                assert_eq!(total.to_bits(), s.markovian_total().to_bits());
 
                 // Drive: prefer a guarded candidate whose window intersects
                 // the invariant window; otherwise race a Markovian jump.
@@ -4244,5 +4533,268 @@ mod tests {
         flow.prog.ops = vec![EvalOp::VarVarBin(BinOp::Add, VarId(0), VarId(99))];
         let err = tables.verify_bytecode().unwrap_err();
         assert!(err.reason.contains("out of bounds"), "got: {err}");
+    }
+
+    /// Counts guard evaluations per `(process, transition)`.
+    #[derive(Default)]
+    struct EvalCounter(std::collections::BTreeMap<(usize, usize), u64>);
+
+    impl EvalCounter {
+        fn of(&self, p: usize, t: usize) -> u64 {
+            self.0.get(&(p, t)).copied().unwrap_or(0)
+        }
+
+        fn total(&self) -> u64 {
+            self.0.values().sum()
+        }
+    }
+
+    impl ProfileHooks for EvalCounter {
+        const ENABLED: bool = true;
+
+        fn guard_eval(&mut self, proc: usize, trans: usize, _enabled: bool) {
+            *self.0.entry((proc, trans)).or_default() += 1;
+        }
+    }
+
+    /// One incremental scan, checked against the legacy full scan.
+    fn scan_and_check(
+        net: &Network,
+        tables: &StepTables,
+        s: &mut StepScratch,
+        st: &NetState,
+        prof: &mut EvalCounter,
+    ) {
+        net.rates_refresh(tables, s, st);
+        net.guarded_candidates_rated_prof(tables, s, st, prof).unwrap();
+        assert_cands_eq(&net.guarded_candidates(st).unwrap(), s.candidates());
+        net.markovian_candidates_into(tables, s, st);
+        let legacy = net.markovian_candidates(st);
+        assert_eq!(legacy.len(), s.markovian().len());
+        let total: f64 = legacy.iter().map(|m| m.rate).sum();
+        assert_eq!(total.to_bits(), s.markovian_total().to_bits());
+    }
+
+    /// A process that leaves a location, while elsewhere sees a variable
+    /// its old location's guards read change, and comes back: the old
+    /// location is re-evaluated, not answered from a stale scan — whether
+    /// or not the location in between is itself reusable.
+    #[test]
+    fn incremental_rescans_a_location_revisited_after_its_reads_changed() {
+        for reusable_b in [true, false] {
+            let mut nb = NetworkBuilder::new();
+            let x = nb.var("x", VarType::Int { lo: 0, hi: 5 }, Value::Int(0));
+            let flag = nb.var("flag", VarType::Bool, Value::Bool(true));
+            let c = nb.var("c", VarType::Clock, Value::Real(0.0));
+            let mut p = AutomatonBuilder::new("p");
+            let (a, b) = (p.location("a"), p.location("b"));
+            p.guarded(a, ActionId::TAU, Expr::var(x).eq(Expr::int(0)), [], b); // t0
+            p.guarded(a, ActionId::TAU, Expr::var(x).eq(Expr::int(1)), [], a); // t1
+            let back = if reusable_b { Expr::var(flag) } else { Expr::var(c).ge(Expr::real(0.0)) };
+            p.guarded(b, ActionId::TAU, back, [], a); // t2
+            nb.add_automaton(p);
+            let mut q = AutomatonBuilder::new("q");
+            let q0 = q.location("q0");
+            q.guarded(q0, ActionId::TAU, Expr::var(flag), [Effect::assign(x, Expr::int(1))], q0);
+            nb.add_automaton(q);
+            let net = nb.build().unwrap();
+            let tables = net.compile();
+            assert_eq!(tables.tau_reads[0][1].is_some(), reusable_b);
+            let mut s = StepScratch::new();
+            let mut st = net.initial_state().unwrap();
+            let mut prof = EvalCounter::default();
+            s.begin_path(&tables);
+
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+            net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(0), TransId(0))]).unwrap(); // a → b
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+            assert_eq!(prof.of(0, 2), 1, "the new location is scanned");
+            net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(1), TransId(0))]).unwrap(); // x := 1
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+            if reusable_b {
+                assert_eq!(prof.of(0, 2), 1, "b reads only `flag`: no re-scan");
+            }
+            net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(0), TransId(2))]).unwrap(); // b → a
+            let before = prof.of(0, 0);
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+            assert_eq!(prof.of(0, 0), before + 1, "the revisited location is re-evaluated");
+            assert_eq!(s.candidates()[0].parts, vec![(ProcId(0), TransId(1))]);
+        }
+    }
+
+    /// The re-scan trigger is a change of value: an effect that stores
+    /// the value a variable already holds re-scans nothing, and a flow
+    /// re-run re-scans its readers only when its value changes.
+    #[test]
+    fn incremental_rescans_on_value_change_only() {
+        let mut nb = NetworkBuilder::new();
+        let n = nb.var("n", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+        let hi = nb.var("hi", VarType::Bool, Value::Bool(false));
+        nb.flow(hi, Expr::var(n).ge(Expr::int(2)));
+        let mut w = AutomatonBuilder::new("w");
+        let w0 = w.location("w0");
+        w.guarded(
+            w0,
+            ActionId::TAU,
+            Expr::var(n).lt(Expr::int(10)),
+            [Effect::assign(n, Expr::var(n))],
+            w0,
+        );
+        w.guarded(
+            w0,
+            ActionId::TAU,
+            Expr::var(n).lt(Expr::int(10)),
+            [Effect::assign(n, Expr::var(n).add(Expr::int(1)))],
+            w0,
+        );
+        nb.add_automaton(w);
+        let mut m = AutomatonBuilder::new("m");
+        let m0 = m.location("m0");
+        m.guarded(m0, ActionId::TAU, Expr::var(hi), [], m0);
+        nb.add_automaton(m);
+        let net = nb.build().unwrap();
+        let tables = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        let mut prof = EvalCounter::default();
+        let (same, bump) = ([(ProcId(0), TransId(0))], [(ProcId(0), TransId(1))]);
+        s.begin_path(&tables);
+
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!((prof.of(0, 0), prof.of(1, 0)), (1, 1));
+        net.apply_mut(&tables, &mut s, &mut st, &same).unwrap(); // n := n
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!((prof.of(0, 0), prof.of(1, 0)), (1, 1), "same value: nothing re-scanned");
+        net.apply_mut(&tables, &mut s, &mut st, &bump).unwrap(); // n = 1, hi stays false
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!((prof.of(0, 0), prof.of(1, 0)), (2, 1), "flow re-ran to the same value");
+        net.apply_mut(&tables, &mut s, &mut st, &bump).unwrap(); // n = 2, hi becomes true
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!((prof.of(0, 0), prof.of(1, 0)), (3, 2), "flow changed value: re-scan");
+        assert!(s.candidates().iter().any(|c| c.parts == [(ProcId(1), TransId(0))]));
+    }
+
+    /// Networks with more than 64 variables, the reference compilation
+    /// and paths begun in full-scan mode scan every guard on every step;
+    /// the engine's gate asks for a location of [`MIN_REUSE_GUARDS`]
+    /// reusable guards.
+    #[test]
+    fn incremental_falls_back_to_full_scans() {
+        let build = |extra_vars: usize, guards: usize| {
+            let mut nb = NetworkBuilder::new();
+            let n = nb.var("n", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+            for i in 0..extra_vars {
+                nb.var(format!("extra{i}"), VarType::Int { lo: 0, hi: 1 }, Value::Int(0));
+            }
+            let mut w = AutomatonBuilder::new("w");
+            let w0 = w.location("w0");
+            for k in 0..guards {
+                w.guarded(w0, ActionId::TAU, Expr::var(n).ge(Expr::int(k as i64)), [], w0);
+            }
+            nb.add_automaton(w);
+            nb.build().unwrap()
+        };
+        assert!(!build(0, MIN_REUSE_GUARDS - 1).compile().incremental_pays());
+        assert!(build(0, MIN_REUSE_GUARDS).compile().incremental_pays());
+        assert!(!build(64, MIN_REUSE_GUARDS).compile().incremental_pays());
+        assert!(!build(0, MIN_REUSE_GUARDS)
+            .compile_with(&CompileOptions::reference())
+            .incremental_pays());
+
+        let steps = 6;
+        let guards = MIN_REUSE_GUARDS;
+        for (extra_vars, opts, begin, full) in [
+            (0, CompileOptions::default(), true, false),
+            (64, CompileOptions::default(), true, true),
+            (0, CompileOptions::reference(), true, true),
+            (0, CompileOptions::default(), false, true),
+        ] {
+            let net = build(extra_vars, guards);
+            let tables = net.compile_with(&opts);
+            let mut s = StepScratch::new();
+            let mut st = net.initial_state().unwrap();
+            let mut prof = EvalCounter::default();
+            s.begin_path(&tables);
+            if !begin {
+                s.begin_full_path();
+            }
+            for _ in 0..steps {
+                scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+                net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(0), TransId(0))]).unwrap();
+            }
+            // Nothing ever changes value, so a reused scan runs once.
+            let want = if full { guards * steps } else { guards } as u64;
+            assert_eq!(
+                prof.total(),
+                want,
+                "{} variables, {opts:?}, begin {begin}",
+                net.vars().len()
+            );
+        }
+    }
+
+    /// The patched Markovian list equals a full rebuild — order, rates
+    /// and total — while processes whose segments differ in length move
+    /// in every order, a location without Markovian transitions included.
+    #[test]
+    fn markovian_list_patch_matches_full_rebuild() {
+        let mut nb = NetworkBuilder::new();
+        for name in ["p", "q", "r"] {
+            let mut a = AutomatonBuilder::new(name);
+            let (up, degraded, down) =
+                (a.location("up"), a.location("degraded"), a.location("down"));
+            a.markovian(up, 1.0, [], degraded);
+            a.markovian(up, 0.25, [], down);
+            a.markovian(up, 0.125, [], up);
+            a.markovian(degraded, 2.0, [], up);
+            a.guarded(down, ActionId::TAU, Expr::TRUE, [], up);
+            nb.add_automaton(a);
+        }
+        let net = nb.build().unwrap();
+        let tables = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        let mut prof = EvalCounter::default();
+        let mut seed = 0x3a5c_u64;
+        s.begin_path(&tables);
+        for _ in 0..200 {
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+            let markov = net.markovian_candidates(&st);
+            for (l, &(p, t, rate)) in markov.iter().zip(s.markovian()) {
+                assert_eq!(l.transition.parts, vec![(p, t)]);
+                assert_eq!(l.rate, rate);
+            }
+            let cands = s.candidates().to_vec();
+            let n = markov.len() + cands.len();
+            let pick = lcg(&mut seed) as usize % n;
+            let parts = match markov.get(pick) {
+                Some(m) => m.transition.parts.clone(),
+                None => cands[pick - markov.len()].parts.clone(),
+            };
+            net.apply_mut(&tables, &mut s, &mut st, &parts).unwrap();
+        }
+    }
+
+    /// A fused conjunction tail over a clock (`b && c >= 5`) is not
+    /// delay-free: its window depends on the delay.
+    #[test]
+    fn fused_clock_conjunction_tail_is_not_delay_free() {
+        let mut nb = NetworkBuilder::new();
+        let c = nb.var("c", VarType::Clock, Value::Real(0.0));
+        let b = nb.var("b", VarType::Bool, Value::Bool(true));
+        let mut a = AutomatonBuilder::new("a");
+        let l0 = a.location("l0");
+        a.guarded(l0, ActionId::TAU, Expr::var(b).and(Expr::var(c).ge(Expr::real(5.0))), [], l0);
+        nb.add_automaton(a);
+        let net = nb.build().unwrap();
+        let tables = net.compile();
+        let GuardCode::Prog(prog) = &tables.tau[0][0][0].guard else {
+            panic!("clock guard tiered as {:?}", tables.tau[0][0][0].guard)
+        };
+        assert!(prog.ops.iter().any(|op| matches!(op, SolveOp::CmpVarConstAnd(..))));
+        let st = net.initial_state().unwrap();
+        let mut s = StepScratch::new();
+        net.guarded_candidates_into(&tables, &mut s, &st).unwrap();
+        assert_cands_eq(&net.guarded_candidates(&st).unwrap(), s.candidates());
     }
 }

@@ -50,6 +50,17 @@ impl Valuation {
         }
     }
 
+    /// Writes variable `v` and returns the value it held.
+    ///
+    /// # Errors
+    /// [`EvalError::BadVarIndex`] when `v` is out of range.
+    pub fn replace(&mut self, v: VarId, value: Value) -> Result<Value, EvalError> {
+        match self.values.get_mut(v.0) {
+            Some(slot) => Ok(std::mem::replace(slot, value)),
+            None => Err(EvalError::BadVarIndex(v.0)),
+        }
+    }
+
     /// Iterates over `(VarId, Value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, Value)> + '_ {
         self.values.iter().enumerate().map(|(i, v)| (VarId(i), *v))

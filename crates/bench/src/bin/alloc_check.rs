@@ -46,6 +46,17 @@ fn cases() -> Vec<Case> {
             goal_var: slim_models::GOAL_VAR,
             bound: 1.0,
         },
+        // Large enough that incremental enabling skips most guard scans
+        // and patches the Markovian list in place on most steps.
+        Case {
+            name: "sensor_filter_14",
+            net: sensor_filter_network(&SensorFilterParams {
+                redundancy: 14,
+                ..SensorFilterParams::default()
+            }),
+            goal_var: slim_models::GOAL_VAR,
+            bound: 2.0,
+        },
         Case {
             name: "voting",
             net: voting_network(&VotingParams::default()),

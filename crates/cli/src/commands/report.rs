@@ -263,6 +263,26 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Sequential stopping rules overshoot completion (a block's tail on
+    /// one worker, in-flight paths on several); the report counts only
+    /// consumed samples, so `paths.total`, the per-worker rows and
+    /// `estimate.samples` agree and the report validates.
+    #[test]
+    fn sequential_generator_report_validates() {
+        let path = tmp("slimsim_test_report_sequential.json");
+        for workers in [1, 2] {
+            let a = args(&format!(
+                "analyze voting --bound 1.0 --epsilon 0.05 --generator gauss --workers {workers} \
+                 --seed 42 --quiet --report {}",
+                path.display()
+            ));
+            super::super::analyze::run(&a).expect("analysis with report succeeds");
+            run(&args(&format!("report {} --quiet", path.display())))
+                .unwrap_or_else(|e| panic!("workers {workers}: {e:?}"));
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn derived_seed_survives_report_roundtrip() {
         // Derived seeds use all 64 bits; a JSON number would round them.

@@ -365,7 +365,7 @@ impl<'a> PathGenerator<'a> {
         let mut steps: u64 = 0;
         let result = match &self.initial {
             Ok(init) => {
-                state.copy_from(init);
+                self.load_initial(s, &mut state, init);
                 let margin = step_margin(self.property);
                 loop {
                     match self.step_path(
@@ -391,6 +391,19 @@ impl<'a> PathGenerator<'a> {
         };
         s.state = state;
         result
+    }
+
+    /// Loads the initial state into `state` and begins the path on the
+    /// scratch — the one point every path starts from. It runs with
+    /// incremental enabling wherever that can pay (see
+    /// [`StepTables::incremental_pays`] and [`StepScratch::begin_path`]).
+    fn load_initial(&self, s: &mut SimScratch, state: &mut NetState, init: &NetState) {
+        state.copy_from(init);
+        if self.tables.incremental_pays() {
+            s.step.begin_path(&self.tables);
+        } else {
+            s.step.begin_full_path();
+        }
     }
 
     /// Advances one path by **one engine step** on the compiled kernel:
@@ -572,7 +585,7 @@ impl<'a> PathGenerator<'a> {
             if markovian.is_empty() {
                 None
             } else {
-                let total: f64 = markovian.iter().map(|&(_, _, r)| r).sum();
+                let total = s.step.markovian_total();
                 let t = exponential_from_uniform(rng.gen::<f64>(), total * bias);
                 let mut pick = rng.gen::<f64>() * total;
                 let (lp, lt, lr) = markovian[markovian.len() - 1];
@@ -957,24 +970,22 @@ impl<'a> PathGenerator<'a> {
                 return;
             }
         };
-        for j in 0..count {
-            b.states[j].copy_from(init);
-            b.rngs[j] = path_rng(seed, start + stride * j as u64);
-            b.steps[j] = 0;
-            b.log_weights[j] = 0.0;
-            b.results[j] = None;
-            if observed {
-                b.details[j] = PathDetail::default();
-            }
-        }
         let margin = step_margin(self.property);
         // Each lane is swept to completion in index order. Lanes consume
         // disjoint RNG streams and never read each other's state, so the
         // sweep order is unobservable — and completion order keeps the
         // lane's state hot in cache and the interpreter's branch history
         // coherent, which measures noticeably faster than a round-robin
-        // sweep on the zoo models.
+        // sweep on the zoo models. It also lets the shared scratch carry
+        // one lane's incremental-enabling state at a time.
         for j in 0..count {
+            self.load_initial(&mut b.sim, &mut b.states[j], init);
+            b.rngs[j] = path_rng(seed, start + stride * j as u64);
+            b.steps[j] = 0;
+            b.log_weights[j] = 0.0;
+            if observed {
+                b.details[j] = PathDetail::default();
+            }
             let mut no_tracer: Option<&mut PathTracer<'_>> = None;
             let result = loop {
                 let mut detail = if observed { b.details.get_mut(j) } else { None };
@@ -1007,9 +1018,10 @@ impl<'a> PathGenerator<'a> {
 /// Reusable workspace for [`PathGenerator::generate_batch_with`]: one
 /// shared [`SimScratch`] (per-step windows, candidate pools and solver
 /// buffers are recomputed from scratch each step, so every lane can reuse
-/// them) plus structure-of-arrays per-lane columns — states, RNG streams,
-/// step counters, likelihood weights, outcome slots and observer
-/// counters. Allocated once and recycled across batches; after warm-up a
+/// them; its incremental-enabling state belongs to the lane being swept
+/// and is reset when the next lane begins) plus structure-of-arrays
+/// per-lane columns — states, RNG streams, step counters, likelihood
+/// weights, outcome slots and observer counters. Allocated once and recycled across batches; after warm-up a
 /// batch performs no heap allocation.
 #[derive(Debug)]
 pub struct BatchScratch {

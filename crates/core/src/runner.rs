@@ -20,7 +20,7 @@ use crate::obs::SimObserver;
 use crate::preverdict::{pre_verdict_with, PreVerdict};
 use crate::property::TimedReach;
 use crate::strategy::Strategy;
-use crate::verdict::{PathOutcome, PathStats, Verdict};
+use crate::verdict::{PathOutcome, PathStats};
 use crate::witness::WitnessSelector;
 use slim_automata::prelude::{profile_shape, Network};
 use slim_obs::profile::{KernelProfile, NoopProfile, ProfileHooks};
@@ -521,9 +521,10 @@ fn fold_worker<S: PathSource, P: ProfileHooks>(
 /// One worker, sequential stopping rule: simulates blocks of
 /// `batch_lanes` paths and feeds the generator in index order until it
 /// completes. A block may overshoot completion by up to `lanes − 1`
-/// paths; those are recorded in the stats but never consumed, and their
-/// errors and lock verdicts cannot fail the finished estimate — the same
-/// gating the round-robin collector applies to in-flight samples.
+/// paths; those are never consumed, so neither the stats nor the worker
+/// attribution count them, and their errors and lock verdicts cannot fail
+/// the finished estimate — the same gating the round-robin collector
+/// applies to in-flight samples.
 fn analyze_sequential_impl<S: PathSource>(
     source: &S,
     config: &SimConfig,
@@ -543,11 +544,8 @@ fn analyze_sequential_impl<S: PathSource>(
         let sampled_at = obs.map(|_| Instant::now());
         let (scratch, strategy) = (&mut scratch, strategy.as_mut());
         source.sample_block(index, lanes, scratch, strategy, obs, &mut NoopProfile, &mut batch);
-        if let (Some(o), Some(t0)) = (obs, sampled_at) {
-            let paths = batch.iter().flatten();
-            let satisfied = paths.clone().filter(|p| p.verdict.is_success()).count() as u64;
-            o.record_worker_batch(0, paths.count() as u64, satisfied, t0.elapsed() / lanes as u32);
-        }
+        let busy_each = sampled_at.map_or(Duration::ZERO, |t0| t0.elapsed() / lanes as u32);
+        let (mut consumed, mut satisfied) = (0u64, 0u64);
         for (j, res) in batch.drain(..).enumerate() {
             let complete = generator.is_complete();
             let outcome = match res {
@@ -555,20 +553,23 @@ fn analyze_sequential_impl<S: PathSource>(
                 Err(e) if !complete => return Err(e),
                 Err(_) => continue,
             };
-            if !complete {
-                check_deadlock_policy(config, &outcome)?;
-            }
-            stats.record(&outcome);
             if complete {
                 continue;
             }
+            check_deadlock_policy(config, &outcome)?;
+            stats.record(&outcome);
             generator.add(outcome.verdict.is_success());
+            consumed += 1;
+            satisfied += outcome.verdict.is_success() as u64;
             if let Some(o) = obs {
                 o.offer_witness(index + j as u64, outcome.verdict);
                 convergence.after_sample(generator.as_ref(), config.accuracy, o);
                 let estimate = current_estimate(generator.as_ref(), config.accuracy);
                 o.on_progress(generator.samples(), None, estimate);
             }
+        }
+        if let Some(o) = obs {
+            o.record_worker_batch(0, consumed, satisfied, busy_each);
         }
         index += lanes as u64;
     }
@@ -579,6 +580,9 @@ fn analyze_sequential_impl<S: PathSource>(
 /// Several workers, sequential stopping rule: workers sample one path at
 /// a time until told to stop (completion must be able to react between
 /// outcomes), and the round-robin collector removes arrival-order bias.
+/// Path statistics and per-worker attribution count consumed samples
+/// only, so they are the same from run to run: the in-flight paths that
+/// arrive after completion depend on thread timing.
 fn analyze_round_robin_impl<S: PathSource>(
     source: &S,
     config: &SimConfig,
@@ -589,13 +593,16 @@ fn analyze_round_robin_impl<S: PathSource>(
     let workers = config.workers;
     let stop = AtomicBool::new(false);
 
-    let mut collector: RoundRobinCollector<Verdict> = RoundRobinCollector::new(workers);
+    // A sample is `(worker, outcome, the worker's busy time on it)`.
+    let mut collector: RoundRobinCollector<(usize, PathOutcome, Duration)> =
+        RoundRobinCollector::new(workers);
     let mut stats = PathStats::default();
     // Reused across every drain; the collector appends complete rounds
     // into it instead of allocating a fresh Vec per received sample. It
-    // carries full verdicts (not just success flags) so witness selection
-    // sees the deterministic consumption order.
-    let mut round_buf: Vec<Verdict> = Vec::new();
+    // carries whole samples (not just success flags) so witness
+    // selection, the path statistics and the per-worker attribution see
+    // the deterministic consumption order.
+    let mut round_buf: Vec<(usize, PathOutcome, Duration)> = Vec::new();
     let mut last_drain = Instant::now();
     let mut convergence = ConvergenceSchedule::new();
     // Before the stop flag is raised every drained round is complete
@@ -609,9 +616,8 @@ fn analyze_round_robin_impl<S: PathSource>(
     // protocol can react *before* the scope unwinds.
     let scoped = catch_unwind(AssertUnwindSafe(|| {
         std::thread::scope(|scope| -> Result<(), SimError> {
-            let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, Result<PathOutcome, SimError>)>(
-                workers * 64,
-            );
+            type Sent = (usize, Result<PathOutcome, SimError>, Duration);
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Sent>(workers * 64);
             for w in 0..workers {
                 let tx = tx.clone();
                 let stop = &stop;
@@ -637,11 +643,9 @@ fn analyze_round_robin_impl<S: PathSource>(
                                 &mut batch,
                             );
                             let Some(out) = batch.pop() else { break };
-                            if let (Some(o), Some(t0), Ok(outcome)) = (obs, sampled_at, &out) {
-                                o.record_worker_path(w, outcome, t0.elapsed());
-                            }
+                            let busy = sampled_at.map_or(Duration::ZERO, |t0| t0.elapsed());
                             let failed = out.is_err();
-                            if tx.send((w, out)).is_err() || failed {
+                            if tx.send((w, out, busy)).is_err() || failed {
                                 break;
                             }
                             index += workers as u64;
@@ -653,7 +657,8 @@ fn analyze_round_robin_impl<S: PathSource>(
                     // and sequential generators would spin forever).
                     if let Err(payload) = catch_unwind(body) {
                         let detail = panic_message(payload.as_ref());
-                        let _ = tx.send((w, Err(SimError::WorkerFailed { detail })));
+                        let _ =
+                            tx.send((w, Err(SimError::WorkerFailed { detail }), Duration::ZERO));
                     }
                 });
             }
@@ -666,20 +671,19 @@ fn analyze_round_robin_impl<S: PathSource>(
             let mut complete = false;
             loop {
                 let disconnected = match rx.recv() {
-                    Ok((w, Ok(outcome))) => {
+                    Ok((w, Ok(outcome), busy)) => {
                         if !complete {
                             check_deadlock_policy(config, &outcome)?;
                         }
-                        stats.record(&outcome);
-                        collector.push(w, outcome.verdict);
+                        collector.push(w, (w, outcome, busy));
                         false
                     }
-                    Ok((_, Err(e))) if !complete => {
+                    Ok((_, Err(e), _)) if !complete => {
                         stop.store(true, Ordering::Relaxed);
                         return Err(e);
                     }
                     // Late failure in a path the estimate never needed.
-                    Ok((_, Err(_))) => continue,
+                    Ok((_, Err(_), _)) => continue,
                     // All senders dropped: every worker exited, so their
                     // leftover complete rounds can be consumed.
                     Err(_) => {
@@ -696,11 +700,13 @@ fn analyze_round_robin_impl<S: PathSource>(
                         o.record_drain(round_buf.len(), collector.buffered(), last_drain.elapsed());
                         last_drain = Instant::now();
                     }
-                    for &v in &round_buf {
+                    for (w, outcome, busy) in &round_buf {
                         if !generator.is_complete() {
-                            generator.add(v.is_success());
+                            stats.record(outcome);
+                            generator.add(outcome.verdict.is_success());
                             if let Some(o) = obs {
-                                o.offer_witness(consumed, v);
+                                o.record_worker_path(*w, outcome, *busy);
+                                o.offer_witness(consumed, outcome.verdict);
                                 convergence.after_sample(generator.as_ref(), config.accuracy, o);
                             }
                         }
@@ -1037,6 +1043,32 @@ mod tests {
         let r = analyze(&net, &prop, &cfg).unwrap();
         let exact = 1.0 - (-1.0f64).exp();
         assert!((r.probability() - exact).abs() < 0.06, "estimate {}", r.probability());
+    }
+
+    /// Sequential stopping rules count only the samples the generator
+    /// consumed: path statistics match the estimate's sample count and
+    /// repeat exactly from run to run and across worker counts, although
+    /// which in-flight paths arrive after completion depends on timing.
+    #[test]
+    fn sequential_path_stats_count_consumed_samples_only() {
+        let (net, prop) = exp_net(1.0);
+        let cfg = loose().with_generator(GeneratorKind::Gauss).with_seed(42);
+        let base = analyze(&net, &prop, &cfg.with_workers(1)).unwrap();
+        assert_eq!(base.stats.total(), base.estimate.samples);
+        for workers in [1, 2, 3] {
+            for _ in 0..3 {
+                let obs = SimObserver::new(workers);
+                let r =
+                    analyze_observed(&net, &prop, &cfg.with_workers(workers), Some(&obs)).unwrap();
+                assert_eq!(r.estimate, base.estimate, "workers {workers}");
+                assert_eq!(r.stats, base.stats, "workers {workers}");
+                // Per-worker attribution counts the same samples, so a
+                // run report validates (worker sums == paths.total).
+                let ws = obs.worker_stats();
+                assert_eq!(ws.iter().map(|w| w.paths).sum::<u64>(), r.stats.total());
+                assert_eq!(ws.iter().map(|w| w.satisfied).sum::<u64>(), r.stats.satisfied);
+            }
+        }
     }
 
     #[test]

@@ -398,6 +398,9 @@ fn compiled_equivalence(
     for _walk in 0..cfg.equivalence_walks {
         let mut st = net.initial_state().map_err(|e| format!("initial state: {e}"))?;
         let mut st_c = st.clone();
+        // The engine's incremental enabling: candidates and Markovian
+        // lists below come from the state carried across the walk.
+        s.begin_path(tables);
         for step in 0..cfg.equivalence_steps {
             if st != st_c {
                 return Err(format!("states diverged before step {step}"));
@@ -443,6 +446,13 @@ fn compiled_equivalence(
                 if l.transition.parts != vec![(p, t)] || l.rate != rate {
                     return Err(format!("Markovian candidate diverged at step {step}"));
                 }
+            }
+            let total: f64 = markov.iter().map(|m| m.rate).sum();
+            if total.to_bits() != s.markovian_total().to_bits() {
+                return Err(format!(
+                    "Markovian total rate diverged at step {step}: {total} vs {}",
+                    s.markovian_total()
+                ));
             }
 
             // Drive: a guarded candidate enabled inside the delay window

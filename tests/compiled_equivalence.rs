@@ -70,6 +70,9 @@ fn model_zoo_compiled_kernel_matches_legacy() {
             seed ^= (path + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
             let mut st = net.initial_state().unwrap();
             let mut st_c = st.clone();
+            // Scan incrementally, as the engine does: every candidate set
+            // and Markovian list below comes from the reused state.
+            s.begin_path(&tables);
             for _ in 0..80 {
                 assert_eq!(st, st_c, "{name}: states diverged");
                 let w = net.delay_window(&st).unwrap();
@@ -87,6 +90,8 @@ fn model_zoo_compiled_kernel_matches_legacy() {
                     assert_eq!(l.transition.parts, vec![(p, t)], "{name}: Markovian parts");
                     assert_eq!(l.rate, rate, "{name}: Markovian rate");
                 }
+                let total: f64 = markov.iter().map(|m| m.rate).sum();
+                assert_eq!(total.to_bits(), s.markovian_total().to_bits(), "{name}: total rate");
 
                 // Drive: a guarded candidate enabled inside the delay
                 // window if one exists, else a Markovian jump, else stop.
