@@ -34,26 +34,7 @@ fn bench_path_generation(h: &mut Harness) {
         h.bench(&format!("sensor_filter/{size}/fresh_scratch"), || {
             let mut rng = path_rng(1, i);
             i += 1;
-            gen.generate(&mut strategy, &mut rng).unwrap()
-        });
-        // The batched SoA kernel, 32 lanes per iteration (divide the
-        // reported time by 32 for the per-path cost).
-        let mut batch_scratch = BatchScratch::new();
-        let mut batch = Vec::new();
-        let mut i = 0u64;
-        h.bench(&format!("sensor_filter/{size}/batched32"), || {
-            gen.generate_batch_with(
-                &mut batch_scratch,
-                &mut strategy,
-                1,
-                i,
-                1,
-                32,
-                None,
-                &mut batch,
-            );
-            i += 32;
-            batch.drain(..).map(|r| r.unwrap().steps).sum::<u64>()
+            gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng).unwrap()
         });
     }
 
@@ -85,14 +66,6 @@ fn bench_path_generation(h: &mut Harness) {
         let mut rng = path_rng(3, i);
         i += 1;
         gen.generate_with(&mut scratch, &mut strategy, &mut rng).unwrap()
-    });
-    let mut batch_scratch = BatchScratch::new();
-    let mut batch = Vec::new();
-    let mut i = 0u64;
-    h.bench("gps/progressive/batched32", || {
-        gen.generate_batch_with(&mut batch_scratch, &mut strategy, 3, i, 1, 32, None, &mut batch);
-        i += 32;
-        batch.drain(..).map(|r| r.unwrap().steps).sum::<u64>()
     });
 }
 

@@ -8,9 +8,6 @@
 //! [`SimScratch`], runs warm-up paths so every pooled buffer reaches its
 //! steady-state capacity, resets the global allocation counter, runs the
 //! measured paths, and requires the counter delta to be **exactly zero**.
-//! The batched SoA kernel is gated the same way on every model: one
-//! [`BatchScratch`], warm-up batches to steady state, then measured
-//! batches that must allocate nothing (the reused output `Vec` included).
 //! Any regression that sneaks an allocation into the hot loop — a
 //! `clone`, a `Vec` literal, a formatted error on the happy path — fails
 //! the process with a nonzero exit code, which CI treats as a hard error.
@@ -107,45 +104,10 @@ fn main() {
         }
         let (calls, bytes) = alloc::counts();
 
-        // The batched SoA kernel under the same contract: warm every
-        // lane (and the reused output buffer) to steady state, then
-        // require zero allocations across the measured batches.
-        const LANES: u64 = 32;
-        let mut batch_scratch = BatchScratch::new();
-        let mut batch = Vec::new();
-        let mut run_batches = |from: u64, to: u64, steps: &mut u64| {
-            let mut i = from;
-            while i < to {
-                let count = (to - i).min(LANES) as usize;
-                gen.generate_batch_with(
-                    &mut batch_scratch,
-                    &mut strategy,
-                    1,
-                    i,
-                    1,
-                    count,
-                    None,
-                    &mut batch,
-                );
-                for r in batch.drain(..) {
-                    let out = r.unwrap();
-                    *steps += out.steps;
-                    black_box(out);
-                }
-                i += count as u64;
-            }
-        };
-        let mut batch_steps = 0u64;
-        run_batches(0, WARM_PATHS, &mut batch_steps);
-        alloc::reset();
-        batch_steps = 0;
-        run_batches(WARM_PATHS, WARM_PATHS + MEASURED_PATHS, &mut batch_steps);
-        let (batch_calls, batch_bytes) = alloc::counts();
-
         let verdict = if fallbacks > 0 {
             failures += 1;
             format!("FAIL ({fallbacks} AST-fallback guards)")
-        } else if calls == 0 && batch_calls == 0 {
+        } else if calls == 0 {
             gated += 1;
             "OK".to_string()
         } else {
@@ -153,9 +115,8 @@ fn main() {
             "FAIL".to_string()
         };
         println!(
-            "{:>14}: scalar {MEASURED_PATHS} paths, {steps} steps — {calls} allocations \
-             ({bytes} bytes); batched {MEASURED_PATHS} paths, {batch_steps} steps — \
-             {batch_calls} allocations ({batch_bytes} bytes) [{verdict}]",
+            "{:>16}: {MEASURED_PATHS} paths, {steps} steps — {calls} allocations \
+             ({bytes} bytes) [{verdict}]",
             case.name
         );
     }

@@ -103,7 +103,6 @@ fn main() {
     report.push("config.epsilon", config.accuracy.epsilon(), "1");
     report.push("config.delta", config.accuracy.delta(), "1");
     report.push("config.workers", config.workers as f64, "threads");
-    report.push("config.batch_lanes", config.batch_lanes as f64, "lanes");
     report.push("config.repeat", repeat as f64, "passes");
 
     for case in cases() {

@@ -455,9 +455,11 @@ fn print_sample_path(
     let outcome = {
         let mut tracer = PathTracer::new(net, &mut sink);
         tracer.emit(start_event(args, config, property, 0));
-        gen.generate_traced(strategy.as_mut(), &mut rng, &mut tracer)
+        let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
+        gen.generate_hooked(&mut SimScratch::new(), strategy.as_mut(), &mut rng, &mut hooks)
     }
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| e.to_string())?
+    .0;
     if let Some(path) = csv_path {
         std::fs::write(path, events_to_csv(&sink.events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;

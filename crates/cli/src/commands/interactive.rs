@@ -105,22 +105,24 @@ pub fn run(args: &Args) -> Result<(), String> {
             *strategy = "input".to_string();
         }
         tracer.emit(header);
+        let mut scratch = SimScratch::new();
+        let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
         if let Some(path) = args.options.get("script") {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let choices = parse_script(&text)?;
             println!("replaying {} scripted decisions from {path}", choices.len());
             let mut strategy = Input::new(ScriptedOracle::new(choices));
-            gen.generate_traced(&mut strategy, &mut rng, &mut tracer)
+            gen.generate_hooked(&mut scratch, &mut strategy, &mut rng, &mut hooks)
         } else {
             println!("interactive simulation — P(◇[0,{bound}] goal); you are the strategy.");
             println!("(Markovian transitions still race with your schedule.)");
             let mut strategy = Input::new(StdinOracle);
-            gen.generate_traced(&mut strategy, &mut rng, &mut tracer)
+            gen.generate_hooked(&mut scratch, &mut strategy, &mut rng, &mut hooks)
         }
     };
     match result {
-        Ok(outcome) => {
+        Ok((outcome, _)) => {
             if let Some(path) = args.options.get("save-trace") {
                 std::fs::write(path, events_to_json_lines(&sink.events))
                     .map_err(|e| format!("cannot write `{path}`: {e}"))?;

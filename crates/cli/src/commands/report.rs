@@ -180,9 +180,6 @@ fn print_profile_summary(p: &ProfileReport) {
         p.transitions.len(),
         p.locations.len()
     );
-    if p.batches > 0 {
-        println!("  batches  : {} ({} scalar drains)", p.batches, p.scalar_drains);
-    }
     if let Some(hot) = p.ops.first() {
         println!("  hottest  : {} ({} executions)", hot.label, hot.count);
     }

@@ -28,3 +28,13 @@ fn sensor_filter_size_one_runs() {
         slimsim("analyze sensor-filter --size 1 --bound 1.0 --epsilon 0.2 --delta 0.2 --quiet");
     assert_eq!(code, Some(0), "{stderr}");
 }
+
+#[test]
+fn rare_rejects_invalid_numbers() {
+    for bad in ["--boost 0", "--boost -1", "--boost nan", "--rel-err 0", "--delta 0"] {
+        let (code, stderr) = slimsim(&format!("rare voting --bound 1.0 {bad}"));
+        assert_eq!(code, Some(1), "{bad}: {stderr}");
+        assert!(stderr.starts_with("error: invalid input: "), "{bad}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{bad}: {stderr}");
+    }
+}

@@ -34,13 +34,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Number of worker threads (1 = sequential).
     pub workers: usize,
-    /// Lane width of the batched path kernel: each worker steps up to
-    /// this many paths at once through the shared step tables
-    /// (structure-of-arrays, one RNG stream per lane). `1` disables
-    /// batching. Lane-by-lane determinism makes the estimate independent
-    /// of this knob — it only trades dispatch overhead against per-lane
-    /// state footprint.
-    pub batch_lanes: usize,
     /// Consult the static fixpoint analysis before sampling and
     /// short-circuit with an exact `P = 0` / `P = 1` when it decides the
     /// property (see [`crate::preverdict`]). On by default; disable to
@@ -65,7 +58,6 @@ impl Default for SimConfig {
             max_steps: 1_000_000,
             seed: 0xC0_FF_EE,
             workers: 1,
-            batch_lanes: 16,
             static_pre_verdicts: true,
             zone_pre_verdicts: true,
         }
@@ -107,16 +99,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style batch-lane-width setter (`1` disables batching).
-    ///
-    /// # Panics
-    /// Panics if `batch_lanes == 0`.
-    pub fn with_batch_lanes(mut self, batch_lanes: usize) -> Self {
-        assert!(batch_lanes > 0, "need at least one lane");
-        self.batch_lanes = batch_lanes;
-        self
-    }
-
     /// Builder-style deadlock-policy setter.
     pub fn with_deadlock_policy(mut self, policy: DeadlockPolicy) -> Self {
         self.deadlock_policy = policy;
@@ -149,21 +131,13 @@ mod tests {
             .with_generator(GeneratorKind::Gauss)
             .with_seed(99)
             .with_workers(4)
-            .with_batch_lanes(8)
             .with_deadlock_policy(DeadlockPolicy::Error);
         assert_eq!(c.accuracy, acc);
         assert_eq!(c.strategy, StrategyKind::Asap);
         assert_eq!(c.generator, GeneratorKind::Gauss);
         assert_eq!(c.seed, 99);
         assert_eq!(c.workers, 4);
-        assert_eq!(c.batch_lanes, 8);
         assert_eq!(c.deadlock_policy, DeadlockPolicy::Error);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn zero_lanes_rejected() {
-        let _ = SimConfig::default().with_batch_lanes(0);
     }
 
     #[test]

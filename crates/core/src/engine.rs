@@ -12,7 +12,7 @@
 //! * the per-path step limit trips (Zeno guard).
 
 use crate::error::SimError;
-use crate::obs::{PathDetail, SimObserver};
+use crate::obs::PathDetail;
 use crate::property::{CompiledGoal, GoalPool, TimedReach};
 use crate::strategy::{Decision, ScheduledCandidate, StepView, Strategy};
 use crate::trace::PathTracer;
@@ -25,35 +25,48 @@ use slim_automata::prelude::{
     CompileOptions, NetState, Network, StepScratch, StepTables, Valuation,
 };
 use slim_obs::profile::{NoopProfile, ProfileHooks};
-use slim_stats::rng::{exponential_from_uniform, path_rng, StdRng};
+use slim_stats::rng::{exponential_from_uniform, StdRng};
 
 /// Generates sample paths for one (network, property) pair.
 ///
 /// Construction compiles the network into [`StepTables`] and the property
 /// into [`CompiledGoal`]s once; every generated path then runs on the
-/// allocation-free stepping kernel. Pass a reusable [`SimScratch`] to the
-/// `*_with` variants to make steady-state path generation heap-allocation
-/// free; the plain variants allocate a fresh scratch per call.
+/// allocation-free stepping kernel. Paths are generated one at a time,
+/// either plainly ([`Self::generate_with`]) or with a [`PathHooks`]
+/// bundle attached ([`Self::generate_hooked`]). Reusing one [`SimScratch`]
+/// across paths makes steady-state path generation heap-allocation free.
 #[derive(Debug, Clone)]
 pub struct PathGenerator<'a> {
     net: &'a Network,
     property: &'a TimedReach,
     max_steps: u64,
+    /// Margin past the horizon for truncating unbounded enabling windows:
+    /// any delay beyond the remaining bound is verdict-equivalent, so the
+    /// exact cap does not affect outcomes (see docs/semantics.md).
+    margin: f64,
     tables: StepTables,
     goal: CompiledGoal,
     hold: Option<CompiledGoal>,
     initial: Result<NetState, EvalError>,
 }
 
-/// Reusable per-worker workspace for the engine loop: the network-level
-/// [`StepScratch`] plus every engine-owned buffer (goal/invariant windows,
-/// scheduled candidates, temporaries). Allocated once, recycled across
-/// paths — after warm-up, generating a path performs no heap allocation.
+/// Reusable per-worker workspace for the engine loop: the path's state,
+/// the network-level [`StepScratch`] plus every engine-owned buffer
+/// (goal/invariant windows, scheduled candidates, temporaries). Allocated
+/// once, recycled across paths — after warm-up, generating a path
+/// performs no heap allocation.
 #[derive(Debug)]
 pub struct SimScratch {
+    state: NetState,
+    bufs: Buffers,
+}
+
+/// The per-step buffers of a [`SimScratch`], kept apart from the state so
+/// the step function can borrow both at once.
+#[derive(Debug)]
+struct Buffers {
     step: StepScratch,
     pool: GoalPool,
-    state: NetState,
     goal_win: IntervalSet,
     viol_win: IntervalSet,
     hold_win: IntervalSet,
@@ -71,20 +84,22 @@ impl SimScratch {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> SimScratch {
         SimScratch {
-            step: StepScratch::new(),
-            pool: GoalPool::new(),
             state: NetState::new(Vec::new(), Valuation::new(Vec::new())),
-            goal_win: IntervalSet::empty(),
-            viol_win: IntervalSet::empty(),
-            hold_win: IntervalSet::empty(),
-            inv_window: IntervalSet::empty(),
-            window: IntervalSet::empty(),
-            schedulable: IntervalSet::empty(),
-            capped: IntervalSet::empty(),
-            tmp: IntervalSet::empty(),
-            tmp2: IntervalSet::empty(),
-            sched: Vec::new(),
-            n_sched: 0,
+            bufs: Buffers {
+                step: StepScratch::new(),
+                pool: GoalPool::new(),
+                goal_win: IntervalSet::empty(),
+                viol_win: IntervalSet::empty(),
+                hold_win: IntervalSet::empty(),
+                inv_window: IntervalSet::empty(),
+                window: IntervalSet::empty(),
+                schedulable: IntervalSet::empty(),
+                capped: IntervalSet::empty(),
+                tmp: IntervalSet::empty(),
+                tmp2: IntervalSet::empty(),
+                sched: Vec::new(),
+                n_sched: 0,
+            },
         }
     }
 }
@@ -92,6 +107,48 @@ impl SimScratch {
 impl Default for SimScratch {
     fn default() -> SimScratch {
         SimScratch::new()
+    }
+}
+
+/// Instrumentation for one [`PathGenerator::generate_hooked`] path.
+///
+/// The tracer, the observer detail and the profiler are passive: they
+/// never touch the RNG or the step logic, so a hooked path is
+/// bit-identical to the plain one. The bias is the exception by design —
+/// it changes the sampled measure and weights the path accordingly.
+/// Generic over the profiler, so the default bundle monomorphizes to the
+/// un-instrumented kernel.
+#[derive(Debug)]
+pub struct PathHooks<'h, 't, P: ProfileHooks = NoopProfile> {
+    /// Records strategy decisions, delays, firings (with Markovian race
+    /// rates), valuation snapshots per [`crate::trace::TraceOptions`], and
+    /// the final verdict.
+    pub tracer: Option<&'h mut PathTracer<'t>>,
+    /// Accumulates the path's observer counters (firings, waits, strategy
+    /// decisions); the caller sets its wall time and flushes it.
+    pub detail: Option<&'h mut PathDetail>,
+    /// **Importance-sampling bias**: every Markovian rate is multiplied by
+    /// `bias` during simulation, and the path's weight is the likelihood
+    /// ratio of the generated trajectory (true measure over biased
+    /// measure). With `bias > 1` rare fault-driven events become frequent;
+    /// the weighted indicator `w·1[success]` remains an unbiased estimate
+    /// of the true probability (see `rare_event`). `1.0` is unbiased.
+    pub bias: f64,
+    /// Kernel profiler: opcodes, digrams, guard outcomes, firings,
+    /// location occupancy and delay solves.
+    pub prof: P,
+}
+
+impl<P: ProfileHooks> PathHooks<'_, '_, P> {
+    /// A bundle with only the profiler `prof` attached.
+    pub fn profiled(prof: P) -> Self {
+        PathHooks { tracer: None, detail: None, bias: 1.0, prof }
+    }
+}
+
+impl Default for PathHooks<'_, '_> {
+    fn default() -> Self {
+        PathHooks::profiled(NoopProfile)
     }
 }
 
@@ -158,7 +215,8 @@ impl<'a> PathGenerator<'a> {
         let goal = property.goal.compile_with(net, opts);
         let hold = property.hold.as_ref().map(|h| h.compile_with(net, opts));
         let initial = net.initial_state();
-        PathGenerator { net, property, max_steps, tables, goal, hold, initial }
+        let margin = (0.1 * property.bound).max(1.0);
+        PathGenerator { net, property, max_steps, margin, tables, goal, hold, initial }
     }
 
     /// The compiled step tables driving this generator.
@@ -176,234 +234,62 @@ impl<'a> PathGenerator<'a> {
         self.property
     }
 
-    /// Generates one path.
+    /// Generates one path on `scratch`; reusing the same scratch across
+    /// paths keeps the hot loop allocation-free.
     ///
     /// # Errors
     /// Evaluation errors (invariant already violated, non-linear guards)
     /// and input-strategy errors.
-    pub fn generate(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-    ) -> Result<PathOutcome, SimError> {
-        self.generate_with(&mut SimScratch::new(), strategy, rng)
-    }
-
-    /// [`Self::generate`] on a caller-supplied scratch: reusing the same
-    /// scratch across paths keeps the hot loop allocation-free.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
     pub fn generate_with(
         &self,
         scratch: &mut SimScratch,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
     ) -> Result<PathOutcome, SimError> {
-        self.run(scratch, strategy, rng, None, 1.0, None, &mut NoopProfile)
+        self.generate_hooked(scratch, strategy, rng, &mut PathHooks::default())
             .map(|(outcome, _)| outcome)
     }
 
-    /// Generates one path, flushing per-path metrics (steps, firings,
-    /// strategy decisions, wall time) to `obs` when present. With
-    /// `obs == None` this is exactly [`Self::generate`]: the observer is
-    /// consulted only after the path ends and never touches the RNG, so
-    /// instrumentation cannot perturb seeded reproducibility.
+    /// [`Self::generate_with`] with the `hooks` bundle attached. Returns
+    /// the outcome and the path's likelihood ratio under `hooks.bias`
+    /// (exactly `1.0` when unbiased). A tracer also receives the verdict
+    /// event.
     ///
     /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_observed(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        self.generate_observed_with(&mut SimScratch::new(), strategy, rng, obs)
-    }
-
-    /// [`Self::generate_observed`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_observed_with(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        obs: Option<&SimObserver>,
-    ) -> Result<PathOutcome, SimError> {
-        let Some(obs) = obs else {
-            return self.generate_with(scratch, strategy, rng);
-        };
-        let start = std::time::Instant::now();
-        let mut detail = PathDetail::default();
-        let result =
-            self.run(scratch, strategy, rng, None, 1.0, Some(&mut detail), &mut NoopProfile);
-        if let Ok((outcome, _)) = &result {
-            detail.nanos = start.elapsed().as_nanos() as u64;
-            obs.record_path(outcome, &detail);
-        }
-        result.map(|(outcome, _)| outcome)
-    }
-
-    /// Generates one path, recording structured events on the tracer:
-    /// strategy decisions, delays, firings (with Markovian race rates),
-    /// valuation snapshots per [`crate::trace::TraceOptions`], and the
-    /// final verdict.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_traced(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        tracer: &mut PathTracer<'_>,
-    ) -> Result<PathOutcome, SimError> {
-        self.generate_traced_with(&mut SimScratch::new(), strategy, rng, tracer)
-    }
-
-    /// [`Self::generate_traced`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_traced_with(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        tracer: &mut PathTracer<'_>,
-    ) -> Result<PathOutcome, SimError> {
-        let outcome =
-            self.run(scratch, strategy, rng, Some(&mut *tracer), 1.0, None, &mut NoopProfile)?.0;
-        tracer.verdict(&outcome);
-        Ok(outcome)
-    }
-
-    /// Generates one path under an **importance-sampling bias**: every
-    /// Markovian rate is multiplied by `bias` during simulation, and the
-    /// returned weight is the likelihood ratio of the generated
-    /// trajectory (true measure over biased measure). With `bias > 1`
-    /// rare fault-driven events become frequent; the weighted indicator
-    /// `w·1[success]` remains an unbiased estimate of the true
-    /// probability (see `rare_event`).
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
+    /// See [`Self::generate_with`].
     ///
     /// # Panics
-    /// Panics unless `bias > 0`.
-    pub fn generate_biased(
-        &self,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        bias: f64,
-    ) -> Result<(PathOutcome, f64), SimError> {
-        self.generate_biased_with(&mut SimScratch::new(), strategy, rng, bias)
-    }
-
-    /// [`Self::generate_biased`] on a caller-supplied scratch.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    ///
-    /// # Panics
-    /// Panics unless `bias > 0`.
-    pub fn generate_biased_with(
+    /// Panics unless `hooks.bias` is positive and finite.
+    pub fn generate_hooked<P: ProfileHooks>(
         &self,
         scratch: &mut SimScratch,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
-        bias: f64,
+        hooks: &mut PathHooks<'_, '_, P>,
     ) -> Result<(PathOutcome, f64), SimError> {
+        let bias = hooks.bias;
         assert!(bias > 0.0 && bias.is_finite(), "bias must be positive, got {bias}");
-        self.run(scratch, strategy, rng, None, bias, None, &mut NoopProfile)
-    }
-
-    /// [`Self::generate_with`] under a profiling sink: the generated path
-    /// is bit-identical to the unprofiled one (hooks never touch the RNG
-    /// or the step logic), with every kernel counter — opcodes, digrams,
-    /// guard outcomes, firings, location occupancy, delay solves —
-    /// recorded into `prof`.
-    ///
-    /// # Errors
-    /// See [`Self::generate`].
-    pub fn generate_profiled_with<P: ProfileHooks>(
-        &self,
-        scratch: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        prof: &mut P,
-    ) -> Result<PathOutcome, SimError> {
-        self.run(scratch, strategy, rng, None, 1.0, None, prof).map(|(outcome, _)| outcome)
-    }
-
-    /// The common engine loop; returns the outcome and the likelihood
-    /// ratio `exp(log_weight)` of the path under rate bias `bias`.
-    ///
-    /// Runs entirely on the compiled kernel: per-step windows, candidate
-    /// sets and state updates live in `s` and are recycled across steps
-    /// and paths, so steady-state execution performs no heap allocation.
-    #[allow(clippy::too_many_arguments)]
-    fn run<P: ProfileHooks>(
-        &self,
-        s: &mut SimScratch,
-        strategy: &mut dyn Strategy,
-        rng: &mut StdRng,
-        mut tracer: Option<&mut PathTracer<'_>>,
-        bias: f64,
-        mut detail: Option<&mut PathDetail>,
-        prof: &mut P,
-    ) -> Result<(PathOutcome, f64), SimError> {
-        // Lend the scratch-owned state buffer to the shared step function,
-        // which borrows the state and the scratch separately so the
-        // batched kernel can drive it lane by lane. `NetState::new` on
-        // empty vectors does not allocate, and the buffer (with its grown
-        // capacity) is handed back before returning.
-        let mut state =
-            std::mem::replace(&mut s.state, NetState::new(Vec::new(), Valuation::new(Vec::new())));
-        let mut log_weight = 0.0f64;
-        let mut steps: u64 = 0;
-        let result = match &self.initial {
-            Ok(init) => {
-                self.load_initial(s, &mut state, init);
-                let margin = step_margin(self.property);
-                loop {
-                    match self.step_path(
-                        s,
-                        &mut state,
-                        strategy,
-                        rng,
-                        &mut tracer,
-                        bias,
-                        &mut detail,
-                        &mut steps,
-                        &mut log_weight,
-                        margin,
-                        prof,
-                    ) {
-                        Ok(None) => {}
-                        Ok(Some(outcome)) => break Ok((outcome, log_weight.exp())),
-                        Err(e) => break Err(e),
-                    }
-                }
-            }
-            Err(e) => Err(SimError::Eval(e.clone())),
-        };
-        s.state = state;
-        result
-    }
-
-    /// Loads the initial state into `state` and begins the path on the
-    /// scratch — the one point every path starts from. It runs with
-    /// incremental enabling wherever that can pay (see
-    /// [`StepTables::incremental_pays`] and [`StepScratch::begin_path`]).
-    fn load_initial(&self, s: &mut SimScratch, state: &mut NetState, init: &NetState) {
+        let init = self.initial.as_ref().map_err(|e| SimError::Eval(e.clone()))?;
+        let SimScratch { state, bufs } = scratch;
         state.copy_from(init);
         if self.tables.incremental_pays() {
-            s.step.begin_path(&self.tables);
+            bufs.step.begin_path(&self.tables);
         } else {
-            s.step.begin_full_path();
+            bufs.step.begin_full_path();
         }
+        let mut log_weight = 0.0f64;
+        let mut steps: u64 = 0;
+        let outcome = loop {
+            if let Some(outcome) =
+                self.step_path(bufs, state, strategy, rng, hooks, &mut steps, &mut log_weight)?
+            {
+                break outcome;
+            }
+        };
+        if let Some(t) = hooks.tracer.as_deref_mut() {
+            t.verdict(&outcome);
+        }
+        Ok((outcome, log_weight.exp()))
     }
 
     /// Advances one path by **one engine step** on the compiled kernel:
@@ -413,25 +299,20 @@ impl<'a> PathGenerator<'a> {
     /// the resolved delay/firing to `state`.
     ///
     /// Returns `Ok(None)` while the path continues and `Ok(Some(..))`
-    /// when it ends. Both the scalar `generate*` family and the batched
-    /// [`Self::generate_batch_with`] kernel drive this exact function,
-    /// which is what makes batched generation bit-identical to scalar
-    /// generation lane by lane.
+    /// when it ends.
     #[allow(clippy::too_many_arguments)]
     fn step_path<P: ProfileHooks>(
         &self,
-        s: &mut SimScratch,
+        s: &mut Buffers,
         state: &mut NetState,
         strategy: &mut dyn Strategy,
         rng: &mut StdRng,
-        tracer: &mut Option<&mut PathTracer<'_>>,
-        bias: f64,
-        detail: &mut Option<&mut PathDetail>,
+        hooks: &mut PathHooks<'_, '_, P>,
         steps: &mut u64,
         log_weight: &mut f64,
-        margin: f64,
-        prof: &mut P,
     ) -> Result<Option<PathOutcome>, SimError> {
+        let PathHooks { tracer, detail, bias, prof } = hooks;
+        let bias = *bias;
         if *steps >= self.max_steps {
             return Ok(Some(PathOutcome {
                 verdict: Verdict::StepLimit,
@@ -503,7 +384,7 @@ impl<'a> PathGenerator<'a> {
         self.net
             .delay_window_rated_prof(&self.tables, &mut s.step, state, &mut s.inv_window, prof)
             .map_err(SimError::Eval)?;
-        let cap = remaining + margin;
+        let cap = remaining + self.margin;
 
         self.net
             .guarded_candidates_rated_prof(&self.tables, &mut s.step, state, prof)
@@ -824,290 +705,6 @@ impl<'a> PathGenerator<'a> {
         }
         Ok(None)
     }
-
-    /// Generates `count` paths with indices `start`, `start + stride`,
-    /// `start + 2·stride`, … on the **batched structure-of-arrays
-    /// kernel**, clearing `out` and pushing one result per path in index
-    /// order.
-    ///
-    /// Lane `j` consumes exactly the RNG stream `path_rng(seed, start +
-    /// stride·j)` and is advanced by the same step function the scalar
-    /// `generate*` family uses, so every lane's outcome is bit-identical
-    /// to `generate_with` on that stream — independent of the lane count
-    /// and of how the other lanes terminate. The lane-exactness contract
-    /// assumes a memoryless `strategy` (all built-in
-    /// [`crate::strategy::StrategyKind`]s are); traced paths must use the
-    /// scalar [`Self::generate_traced_with`], since a trace follows a
-    /// single path.
-    ///
-    /// A lane hitting a simulation error records `Err` in its slot
-    /// without disturbing the other lanes. With `obs` present, per-path
-    /// metrics are flushed for every successful lane; wall time is
-    /// attributed as the batch's elapsed time divided evenly across its
-    /// lanes.
-    ///
-    /// # Panics
-    /// Panics when `stride == 0` while `count > 1` (the lanes would alias
-    /// one RNG stream).
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_with(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        obs: Option<&SimObserver>,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        self.generate_batch_profiled_with(
-            scratch,
-            strategy,
-            seed,
-            start,
-            stride,
-            count,
-            obs,
-            &mut NoopProfile,
-            out,
-        );
-    }
-
-    /// [`Self::generate_batch_with`] with a kernel profiler attached: every
-    /// lane records opcode, guard, firing and occupancy counts into `prof`,
-    /// and the batch as a whole contributes one lane-utilization sample
-    /// (see [`slim_obs::profile::ProfileHooks::batch`]). Lane outcomes stay
-    /// bit-identical to the unprofiled batch on the same streams.
-    ///
-    /// # Panics
-    /// Panics when `stride == 0` while `count > 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_profiled_with<P: ProfileHooks>(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        obs: Option<&SimObserver>,
-        prof: &mut P,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        let t0 = obs.map(|_| std::time::Instant::now());
-        self.run_batch(scratch, strategy, seed, start, stride, count, 1.0, obs.is_some(), prof);
-        scratch.record_batch(count, obs, t0);
-        out.clear();
-        out.extend(
-            scratch.results[..count]
-                .iter_mut()
-                .map(|slot| slot.take().expect("lane finished").map(|(o, _)| o)),
-        );
-    }
-
-    /// [`Self::generate_batch_with`] under an importance-sampling `bias`
-    /// (see [`Self::generate_biased`]): each result additionally carries
-    /// the likelihood ratio of its trajectory.
-    ///
-    /// # Panics
-    /// Panics unless `bias > 0`, and when `stride == 0` while
-    /// `count > 1`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn generate_batch_biased_with(
-        &self,
-        scratch: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        bias: f64,
-        out: &mut Vec<Result<(PathOutcome, f64), SimError>>,
-    ) {
-        assert!(bias > 0.0 && bias.is_finite(), "bias must be positive, got {bias}");
-        self.run_batch(
-            scratch,
-            strategy,
-            seed,
-            start,
-            stride,
-            count,
-            bias,
-            false,
-            &mut NoopProfile,
-        );
-        out.clear();
-        out.extend(
-            scratch.results[..count].iter_mut().map(|slot| slot.take().expect("lane finished")),
-        );
-    }
-
-    /// The batched engine core: initializes `count` lanes, then runs each
-    /// lane to completion in index order with the scalar step function.
-    /// Results land in `scratch.results`.
-    #[allow(clippy::too_many_arguments)]
-    fn run_batch<P: ProfileHooks>(
-        &self,
-        b: &mut BatchScratch,
-        strategy: &mut dyn Strategy,
-        seed: u64,
-        start: u64,
-        stride: u64,
-        count: usize,
-        bias: f64,
-        observed: bool,
-        prof: &mut P,
-    ) {
-        assert!(stride > 0 || count <= 1, "stride must be positive for multi-lane batches");
-        b.ensure_lanes(count);
-        let init = match &self.initial {
-            Ok(init) => init,
-            Err(e) => {
-                for slot in &mut b.results[..count] {
-                    *slot = Some(Err(SimError::Eval(e.clone())));
-                }
-                return;
-            }
-        };
-        let margin = step_margin(self.property);
-        // Each lane is swept to completion in index order. Lanes consume
-        // disjoint RNG streams and never read each other's state, so the
-        // sweep order is unobservable — and completion order keeps the
-        // lane's state hot in cache and the interpreter's branch history
-        // coherent, which measures noticeably faster than a round-robin
-        // sweep on the zoo models. It also lets the shared scratch carry
-        // one lane's incremental-enabling state at a time.
-        for j in 0..count {
-            self.load_initial(&mut b.sim, &mut b.states[j], init);
-            b.rngs[j] = path_rng(seed, start + stride * j as u64);
-            b.steps[j] = 0;
-            b.log_weights[j] = 0.0;
-            if observed {
-                b.details[j] = PathDetail::default();
-            }
-            let mut no_tracer: Option<&mut PathTracer<'_>> = None;
-            let result = loop {
-                let mut detail = if observed { b.details.get_mut(j) } else { None };
-                match self.step_path(
-                    &mut b.sim,
-                    &mut b.states[j],
-                    strategy,
-                    &mut b.rngs[j],
-                    &mut no_tracer,
-                    bias,
-                    &mut detail,
-                    &mut b.steps[j],
-                    &mut b.log_weights[j],
-                    margin,
-                    prof,
-                ) {
-                    Ok(None) => {}
-                    Ok(Some(outcome)) => break Ok((outcome, b.log_weights[j].exp())),
-                    Err(e) => break Err(e),
-                }
-            };
-            b.results[j] = Some(result);
-        }
-        if P::ENABLED && count > 0 {
-            prof.batch(&b.steps[..count]);
-        }
-    }
-}
-
-/// Reusable workspace for [`PathGenerator::generate_batch_with`]: one
-/// shared [`SimScratch`] (per-step windows, candidate pools and solver
-/// buffers are recomputed from scratch each step, so every lane can reuse
-/// them; its incremental-enabling state belongs to the lane being swept
-/// and is reset when the next lane begins) plus structure-of-arrays
-/// per-lane columns — states, RNG streams, step counters, likelihood
-/// weights, outcome slots and observer counters. Allocated once and recycled across batches; after warm-up a
-/// batch performs no heap allocation.
-#[derive(Debug)]
-pub struct BatchScratch {
-    sim: SimScratch,
-    states: Vec<NetState>,
-    rngs: Vec<StdRng>,
-    steps: Vec<u64>,
-    log_weights: Vec<f64>,
-    results: Vec<Option<Result<(PathOutcome, f64), SimError>>>,
-    details: Vec<PathDetail>,
-    lane_sort: Vec<u64>,
-}
-
-impl BatchScratch {
-    /// Creates an empty workspace (lane columns grow on first use).
-    pub fn new() -> BatchScratch {
-        BatchScratch {
-            sim: SimScratch::new(),
-            states: Vec::new(),
-            rngs: Vec::new(),
-            steps: Vec::new(),
-            log_weights: Vec::new(),
-            results: Vec::new(),
-            details: Vec::new(),
-            lane_sort: Vec::new(),
-        }
-    }
-
-    /// The underlying scalar scratch — the escape hatch for paths that
-    /// must run on the scalar kernel (traced generation, witness replay).
-    pub fn sim_mut(&mut self) -> &mut SimScratch {
-        &mut self.sim
-    }
-
-    /// Grows every lane column to at least `count` entries. Columns only
-    /// grow (a short tail batch never sheds the capacity the full-width
-    /// batches warmed up) and stay in lockstep.
-    fn ensure_lanes(&mut self, count: usize) {
-        if self.states.len() < count {
-            self.states
-                .resize_with(count, || NetState::new(Vec::new(), Valuation::new(Vec::new())));
-            self.rngs.resize_with(count, || StdRng::seed_from_u64(0));
-            self.steps.resize(count, 0);
-            self.log_weights.resize(count, 0.0);
-            self.results.resize_with(count, || None);
-            self.details.resize_with(count, PathDetail::default);
-        }
-    }
-
-    /// Flushes per-path metrics of the batch's successful lanes to `obs`,
-    /// attributing the batch's wall time evenly across its lanes.
-    fn record_batch(
-        &mut self,
-        count: usize,
-        obs: Option<&SimObserver>,
-        t0: Option<std::time::Instant>,
-    ) {
-        let (Some(obs), Some(t0)) = (obs, t0) else { return };
-        self.lane_sort.clear();
-        self.lane_sort.extend_from_slice(&self.steps[..count]);
-        self.lane_sort.sort_unstable_by(|a, b| b.cmp(a));
-        obs.record_batch_lanes(&self.lane_sort);
-        let per_lane = (t0.elapsed().as_nanos() as u64) / count.max(1) as u64;
-        for d in self.details.iter_mut().take(count) {
-            d.nanos = per_lane;
-        }
-        let paths =
-            self.results.iter().take(count).zip(&self.details).filter_map(|(r, d)| match r {
-                Some(Ok((outcome, _))) => Some((outcome, d)),
-                _ => None,
-            });
-        obs.record_path_batch(paths, per_lane / 1_000);
-    }
-}
-
-impl Default for BatchScratch {
-    fn default() -> BatchScratch {
-        BatchScratch::new()
-    }
-}
-
-/// Margin past the horizon for truncating unbounded enabling windows: any
-/// delay beyond the remaining bound is verdict-equivalent, so the exact
-/// cap does not affect outcomes (see docs/semantics.md).
-fn step_margin(property: &TimedReach) -> f64 {
-    (0.1 * property.bound).max(1.0)
 }
 
 /// What happens first along a delay of length `up_to`.
@@ -1163,6 +760,15 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// One path on a fresh scratch.
+    fn generate(
+        gen: &PathGenerator<'_>,
+        strategy: &mut dyn Strategy,
+        rng: &mut StdRng,
+    ) -> Result<PathOutcome, SimError> {
+        gen.generate_with(&mut SimScratch::new(), strategy, rng)
+    }
+
     /// Clock-driven one-shot: fires between 2 and 4, sets `done`.
     fn window_net() -> (Network, Expr) {
         let mut b = NetworkBuilder::new();
@@ -1184,7 +790,7 @@ mod tests {
         let (net, goal) = window_net();
         let prop = TimedReach::new(Goal::expr(goal), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 2.0).abs() < 1e-9, "end {}", out.end_time);
     }
@@ -1194,7 +800,7 @@ mod tests {
         let (net, goal) = window_net();
         let prop = TimedReach::new(Goal::expr(goal), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut MaxTime, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut MaxTime, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 4.0).abs() < 1e-9, "end {}", out.end_time);
     }
@@ -1205,7 +811,7 @@ mod tests {
         let prop = TimedReach::new(Goal::expr(goal), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
         for seed in 0..20 {
-            let out = gen.generate(&mut Progressive, &mut rng(seed)).unwrap();
+            let out = generate(&gen, &mut Progressive, &mut rng(seed)).unwrap();
             assert_eq!(out.verdict, Verdict::Satisfied);
             assert!((2.0 - 1e-9..=4.0 + 1e-9).contains(&out.end_time), "end {}", out.end_time);
         }
@@ -1216,7 +822,7 @@ mod tests {
         let (net, goal) = window_net();
         let prop = TimedReach::new(Goal::expr(goal), 1.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::TimeBoundExceeded);
     }
 
@@ -1226,7 +832,7 @@ mod tests {
         // Goal becomes reachable exactly at t = 2 with bound 2 (inclusive).
         let prop = TimedReach::new(Goal::expr(goal), 2.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
     }
 
@@ -1245,7 +851,7 @@ mod tests {
         let prop = TimedReach::new(goal, 50.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
         // MaxTime would delay to 100 — the goal is hit at 7 on the way.
-        let out = gen.generate(&mut MaxTime, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut MaxTime, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 7.0).abs() < 1e-9, "end {}", out.end_time);
     }
@@ -1260,7 +866,7 @@ mod tests {
         let net = b.build().unwrap();
         let prop = TimedReach::new(Goal::expr(Expr::FALSE), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Deadlock);
         assert!(!out.verdict.is_success());
     }
@@ -1278,7 +884,7 @@ mod tests {
         let net = b.build().unwrap();
         let prop = TimedReach::new(Goal::expr(Expr::FALSE), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Timelock);
     }
 
@@ -1294,7 +900,7 @@ mod tests {
         let goal = Goal::expr(Expr::var(net.var_id("x").unwrap()).ge(Expr::real(2.0)));
         let prop = TimedReach::new(goal, 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 2.0).abs() < 1e-9);
     }
@@ -1314,7 +920,7 @@ mod tests {
         let gen = PathGenerator::new(&net, &prop, 1000);
         let mut times = Vec::new();
         for seed in 0..200 {
-            let out = gen.generate(&mut Asap, &mut rng(seed)).unwrap();
+            let out = generate(&gen, &mut Asap, &mut rng(seed)).unwrap();
             assert_eq!(out.verdict, Verdict::Satisfied);
             times.push(out.end_time);
         }
@@ -1344,7 +950,7 @@ mod tests {
         let gen = PathGenerator::new(&net, &prop, 1000);
         let mut fault_first = 0;
         for seed in 0..100 {
-            let out = gen.generate(&mut Asap, &mut rng(seed)).unwrap();
+            let out = generate(&gen, &mut Asap, &mut rng(seed)).unwrap();
             if out.verdict == Verdict::Satisfied && out.end_time < 10.0 {
                 fault_first += 1;
             }
@@ -1363,7 +969,7 @@ mod tests {
         let net = b.build().unwrap();
         let prop = TimedReach::new(Goal::expr(Expr::FALSE), 10.0);
         let gen = PathGenerator::new(&net, &prop, 50);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::StepLimit);
         assert_eq!(out.steps, 50);
     }
@@ -1377,7 +983,10 @@ mod tests {
         let mut sink = MemorySink::default();
         let out = {
             let mut tracer = PathTracer::new(&net, &mut sink);
-            gen.generate_traced(&mut Asap, &mut rng(1), &mut tracer).unwrap()
+            let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
+            gen.generate_hooked(&mut SimScratch::new(), &mut Asap, &mut rng(1), &mut hooks)
+                .unwrap()
+                .0
         };
         assert_eq!(out.verdict, Verdict::Satisfied);
         // Goal is hit exactly when firing; the trace contains the delay.
@@ -1419,7 +1028,7 @@ mod tests {
         let hold = Goal::expr(Expr::var(x).le(Expr::real(3.0)));
         let prop = TimedReach::until(hold, goal, 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::HoldViolated);
         assert!((out.end_time - 3.0).abs() < 1e-9, "violated at {}", out.end_time);
     }
@@ -1437,7 +1046,7 @@ mod tests {
         let hold = Goal::expr(Expr::var(x).le(Expr::real(4.0)));
         let prop = TimedReach::until(hold, goal, 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 2.0).abs() < 1e-9);
     }
@@ -1455,7 +1064,7 @@ mod tests {
         let hold = Goal::expr(Expr::var(x).lt(Expr::real(2.0)));
         let prop = TimedReach::until(hold, goal, 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(1)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(1)).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
     }
 
@@ -1475,7 +1084,7 @@ mod tests {
         let hold = Goal::expr(Expr::var(ok));
         let prop = TimedReach::until(hold, goal, 100.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
-        let out = gen.generate(&mut Asap, &mut rng(7)).unwrap();
+        let out = generate(&gen, &mut Asap, &mut rng(7)).unwrap();
         assert_eq!(out.verdict, Verdict::HoldViolated);
         assert!(out.end_time < 1.0, "fault should hit quickly, got {}", out.end_time);
     }
@@ -1501,7 +1110,7 @@ mod tests {
         let prop = TimedReach::new(Goal::expr(Expr::var(hit)), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
         for kind in StrategyKind::ALL {
-            let out = gen.generate(kind.instantiate().as_mut(), &mut rng(3)).unwrap();
+            let out = generate(&gen, kind.instantiate().as_mut(), &mut rng(3)).unwrap();
             assert_eq!(out.verdict, Verdict::Satisfied, "{kind}");
             assert_eq!(out.end_time, 0.0, "{kind} delayed an urgent transition");
         }
@@ -1542,7 +1151,14 @@ mod tests {
                 let mut sink = MemorySink::default();
                 {
                     let mut tracer = PathTracer::new(&net, &mut sink);
-                    let _ = gen.generate_traced(strategy.as_mut(), &mut r, &mut tracer).unwrap();
+                    let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
+                    gen.generate_hooked(
+                        &mut SimScratch::new(),
+                        strategy.as_mut(),
+                        &mut r,
+                        &mut hooks,
+                    )
+                    .unwrap();
                 }
                 // Until the urgent watchdog has fired, time must not pass
                 // its 2.0 enabling instant — so the FIRST discrete event
@@ -1569,8 +1185,8 @@ mod tests {
         let prop = TimedReach::new(Goal::expr(goal), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
         for kind in StrategyKind::ALL {
-            let a = gen.generate(kind.instantiate().as_mut(), &mut rng(42)).unwrap();
-            let b = gen.generate(kind.instantiate().as_mut(), &mut rng(42)).unwrap();
+            let a = generate(&gen, kind.instantiate().as_mut(), &mut rng(42)).unwrap();
+            let b = generate(&gen, kind.instantiate().as_mut(), &mut rng(42)).unwrap();
             assert_eq!(a, b, "strategy {kind} not reproducible");
         }
     }
@@ -1590,7 +1206,7 @@ mod tests {
                 let a = gen
                     .generate_with(&mut shared, kind.instantiate().as_mut(), &mut rng(seed))
                     .unwrap();
-                let b = gen.generate(kind.instantiate().as_mut(), &mut rng(seed)).unwrap();
+                let b = generate(&gen, kind.instantiate().as_mut(), &mut rng(seed)).unwrap();
                 assert_eq!(a, b, "strategy {kind}, seed {seed}");
             }
         }

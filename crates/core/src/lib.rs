@@ -56,7 +56,7 @@ pub mod witness;
 /// Convenient glob-import of the simulator API.
 pub mod prelude {
     pub use crate::config::{DeadlockPolicy, SimConfig};
-    pub use crate::engine::{BatchScratch, PathGenerator, SimScratch};
+    pub use crate::engine::{PathGenerator, PathHooks, SimScratch};
     pub use crate::error::SimError;
     pub use crate::obs::{SimObserver, WorkerStat};
     pub use crate::preverdict::{goal_distance_targets, pre_verdict, pre_verdict_with, PreVerdict};

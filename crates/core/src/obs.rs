@@ -83,10 +83,6 @@ pub struct SimObserver {
     h_buffer_depth: HistogramId,
     h_drain_batch: HistogramId,
     h_drain_gap_micros: HistogramId,
-    // Batched-kernel lane utilization (flushed once per batch).
-    c_batches: CounterId,
-    c_scalar_drains: CounterId,
-    h_active_lanes: HistogramId,
     // Per-worker.
     workers: Vec<WorkerIds>,
     // Cold path only: phase ends and report building.
@@ -149,9 +145,6 @@ impl SimObserver {
             h_buffer_depth: r.histogram("collector.buffer_depth"),
             h_drain_batch: r.histogram("collector.drain_batch"),
             h_drain_gap_micros: r.histogram("collector.drain_gap_micros"),
-            c_batches: r.counter("batch.batches"),
-            c_scalar_drains: r.counter("batch.scalar_drains"),
-            h_active_lanes: r.histogram("batch.active_lanes"),
             workers: (0..workers)
                 .map(|w| WorkerIds {
                     paths: r.counter(&format!("worker.{w}.paths")),
@@ -204,7 +197,7 @@ impl SimObserver {
         snap
     }
 
-    /// Flushes one generated path's detail (called by the engine).
+    /// Flushes one generated path's detail (called by the runner).
     pub(crate) fn record_path(&self, outcome: &PathOutcome, detail: &PathDetail) {
         let r = &self.registry;
         r.inc(self.c_verdicts[verdict_slot(outcome.verdict)]);
@@ -224,82 +217,6 @@ impl SimObserver {
         }
     }
 
-    /// Flushes a whole batch of path details with one pass over the
-    /// shared counters: per-path work is reduced to the value-dependent
-    /// histogram records, everything summable lands in locals first. The
-    /// final counter values are identical to calling
-    /// [`Self::record_path`] per path; `micros` is the per-lane wall time
-    /// the caller attributes to every path of the batch.
-    pub(crate) fn record_path_batch<'a, I>(&self, paths: I, micros: u64)
-    where
-        I: Iterator<Item = (&'a PathOutcome, &'a PathDetail)>,
-    {
-        let r = &self.registry;
-        let mut verdicts = [0u64; 6];
-        let mut agg = PathDetail::default();
-        let mut steps_total = 0u64;
-        let mut n = 0u64;
-        for (outcome, detail) in paths {
-            verdicts[verdict_slot(outcome.verdict)] += 1;
-            steps_total += outcome.steps;
-            agg.fires_markovian += detail.fires_markovian;
-            agg.fires_guarded += detail.fires_guarded;
-            agg.waits += detail.waits;
-            agg.decisions_fire += detail.decisions_fire;
-            agg.decisions_wait += detail.decisions_wait;
-            agg.decisions_stuck += detail.decisions_stuck;
-            r.record(self.h_steps_per_path, outcome.steps);
-            n += 1;
-        }
-        if n == 0 {
-            return;
-        }
-        for (slot, &count) in verdicts.iter().enumerate() {
-            if count > 0 {
-                r.add(self.c_verdicts[slot], count);
-            }
-        }
-        r.add(self.c_steps_total, steps_total);
-        r.add(self.c_fires_markovian, agg.fires_markovian);
-        r.add(self.c_fires_guarded, agg.fires_guarded);
-        r.add(self.c_waits, agg.waits);
-        r.add(self.c_decisions_fire, agg.decisions_fire);
-        r.add(self.c_decisions_wait, agg.decisions_wait);
-        r.add(self.c_decisions_stuck, agg.decisions_stuck);
-        r.record_n(self.h_path_micros, micros, n);
-        if verdicts[verdict_slot(Verdict::Deadlock)] > 0 {
-            r.add(self.c_deadlocks, verdicts[verdict_slot(Verdict::Deadlock)]);
-        }
-        if verdicts[verdict_slot(Verdict::Timelock)] > 0 {
-            r.add(self.c_timelocks, verdicts[verdict_slot(Verdict::Timelock)]);
-        }
-    }
-
-    /// Records one batched-kernel sweep's lane utilization from the
-    /// per-lane step counts sorted descending: for each rank `j`, the
-    /// engine spent `sorted[j] - sorted[j+1]` steps with exactly `j + 1`
-    /// lanes active, so the `batch.active_lanes` histogram weights each
-    /// active-lane count by the steps spent there. A single-lane batch is
-    /// a scalar drain — the batched kernel degenerating to the scalar
-    /// one — counted separately so `bench_report` can explain
-    /// batched-vs-scalar throughput deltas.
-    pub(crate) fn record_batch_lanes(&self, sorted_desc: &[u64]) {
-        if sorted_desc.is_empty() {
-            return;
-        }
-        let r = &self.registry;
-        r.inc(self.c_batches);
-        if sorted_desc.len() == 1 {
-            r.inc(self.c_scalar_drains);
-        }
-        for (j, &hi) in sorted_desc.iter().enumerate() {
-            let lo = sorted_desc.get(j + 1).copied().unwrap_or(0);
-            if hi > lo {
-                r.record_n(self.h_active_lanes, (j + 1) as u64, hi - lo);
-            }
-        }
-    }
-
     /// Attributes one path to worker `w` (called by the runner). Indices
     /// beyond the observer's worker count are counted globally but not
     /// attributed.
@@ -310,28 +227,6 @@ impl SimObserver {
                 self.registry.inc(ids.satisfied);
             }
             self.registry.add(ids.busy_nanos, busy.as_nanos() as u64);
-        }
-    }
-
-    /// Attributes `paths` paths (of which `satisfied` succeeded, each
-    /// busy for `busy_each`) to worker `w` in one counter pass — the
-    /// aggregate of `paths` [`Self::record_worker_path`] calls.
-    pub(crate) fn record_worker_batch(
-        &self,
-        w: usize,
-        paths: u64,
-        satisfied: u64,
-        busy_each: Duration,
-    ) {
-        if paths == 0 {
-            return;
-        }
-        if let Some(ids) = self.workers.get(w) {
-            self.registry.add(ids.paths, paths);
-            if satisfied > 0 {
-                self.registry.add(ids.satisfied, satisfied);
-            }
-            self.registry.add(ids.busy_nanos, (busy_each.as_nanos() as u64).wrapping_mul(paths));
         }
     }
 
@@ -503,26 +398,6 @@ mod tests {
         let phases = obs.phases();
         assert_eq!(phases[0], ("simulate".to_string(), Duration::from_millis(5)));
         assert_eq!(phases[1].0, "estimate");
-    }
-
-    #[test]
-    fn batch_lane_utilization_weights_ranks_by_steps() {
-        let obs = SimObserver::new(1);
-        // 3 lanes: steps 10, 7, 7 (sorted desc). Rank 1 active for
-        // 10-7 = 3 steps, rank 2 for 0 (tie skipped), rank 3 for 7.
-        obs.record_batch_lanes(&[10, 7, 7]);
-        // A single-lane batch is a scalar drain.
-        obs.record_batch_lanes(&[5]);
-        obs.record_batch_lanes(&[]); // no-op
-        let snap = obs.snapshot();
-        assert_eq!(snap.counters["batch.batches"], 2);
-        assert_eq!(snap.counters["batch.scalar_drains"], 1);
-        let h = &snap.histograms["batch.active_lanes"];
-        // Records: (1, n=3), (3, n=7) from the first batch; (1, n=5)
-        // from the drain. Total count 15, sum 3·1 + 7·3 + 5·1 = 29.
-        assert_eq!(h.count, 15);
-        assert_eq!(h.sum, 29);
-        assert_eq!(h.max, 3);
     }
 
     #[test]

@@ -14,12 +14,13 @@
 //! only the stochastic fault process is biased.
 
 use crate::config::DeadlockPolicy;
-use crate::engine::{BatchScratch, PathGenerator};
+use crate::engine::{PathGenerator, PathHooks, SimScratch};
 use crate::error::SimError;
 use crate::property::TimedReach;
 use crate::strategy::StrategyKind;
-use crate::verdict::{PathOutcome, PathStats};
+use crate::verdict::PathStats;
 use slim_automata::prelude::Network;
+use slim_stats::rng::path_rng;
 use slim_stats::weighted::{WeightedEstimate, WeightedEstimator};
 use std::time::{Duration, Instant};
 
@@ -42,9 +43,6 @@ pub struct RareEventConfig {
     pub deadlock_policy: DeadlockPolicy,
     /// Master seed.
     pub seed: u64,
-    /// Lane width of the batched path kernel (see
-    /// [`crate::config::SimConfig::batch_lanes`]); `1` disables batching.
-    pub batch_lanes: usize,
 }
 
 impl Default for RareEventConfig {
@@ -58,7 +56,6 @@ impl Default for RareEventConfig {
             max_steps: 1_000_000,
             deadlock_policy: DeadlockPolicy::Falsify,
             seed: 0xAE0C0FFE,
-            batch_lanes: 16,
         }
     }
 }
@@ -79,57 +76,36 @@ pub struct RareEventResult {
 /// Estimates `P(◇[0,u] goal)` (or bounded until) by importance sampling.
 ///
 /// # Errors
-/// Simulation errors; deadlocks under [`DeadlockPolicy::Error`].
-///
-/// # Panics
-/// Panics unless `boost > 0`.
+/// * [`SimError::InvalidInput`] unless `boost` and `rel_err` are positive
+///   and finite and `confidence` lies in `(0, 1)`;
+/// * simulation errors; deadlocks under [`DeadlockPolicy::Error`].
 pub fn analyze_rare(
     net: &Network,
     property: &TimedReach,
     config: &RareEventConfig,
 ) -> Result<RareEventResult, SimError> {
-    assert!(config.boost > 0.0 && config.boost.is_finite(), "boost must be positive");
+    validate(config)?;
     let start = Instant::now();
     let gen = PathGenerator::new(net, property, config.max_steps);
     let mut strategy = config.strategy.instantiate();
     let mut estimator = WeightedEstimator::new(config.rel_err, config.confidence);
     let mut stats = PathStats::default();
-
-    let mut scratch = BatchScratch::new();
-    let mut batch: Vec<Result<(PathOutcome, f64), SimError>> = Vec::new();
-    let lanes = config.batch_lanes.max(1);
+    let mut scratch = SimScratch::new();
+    let mut hooks = PathHooks { bias: config.boost, ..PathHooks::default() };
     let mut index = 0u64;
-    'outer: while !estimator.is_complete() && index < config.max_paths {
-        // Never batch past the path cap, so a capped run reports exactly
-        // `max_paths` samples; a lane generated after the estimator
-        // completed mid-batch is discarded unconsumed — the scalar loop
-        // would never have sampled it.
-        let count = (config.max_paths - index).min(lanes as u64) as usize;
-        gen.generate_batch_biased_with(
-            &mut scratch,
-            strategy.as_mut(),
-            config.seed,
-            index,
-            1,
-            count,
-            config.boost,
-            &mut batch,
-        );
-        for res in batch.drain(..) {
-            if estimator.is_complete() {
-                break 'outer;
-            }
-            let (outcome, weight) = res?;
-            if config.deadlock_policy == DeadlockPolicy::Error && outcome.verdict.is_lock() {
-                return Err(SimError::DeadlockDetected {
-                    time: outcome.end_time,
-                    description: format!("{} after {} steps", outcome.verdict, outcome.steps),
-                });
-            }
-            stats.record(&outcome);
-            estimator.add(outcome.verdict.is_success(), weight);
+    while !estimator.is_complete() && index < config.max_paths {
+        let mut rng = path_rng(config.seed, index);
+        let (outcome, weight) =
+            gen.generate_hooked(&mut scratch, strategy.as_mut(), &mut rng, &mut hooks)?;
+        if config.deadlock_policy == DeadlockPolicy::Error && outcome.verdict.is_lock() {
+            return Err(SimError::DeadlockDetected {
+                time: outcome.end_time,
+                description: format!("{} after {} steps", outcome.verdict, outcome.steps),
+            });
         }
-        index += count as u64;
+        stats.record(&outcome);
+        estimator.add(outcome.verdict.is_success(), weight);
+        index += 1;
     }
 
     Ok(RareEventResult {
@@ -140,12 +116,26 @@ pub fn analyze_rare(
     })
 }
 
+/// Rejects the configurations the importance-sampling estimator cannot
+/// run with.
+fn validate(config: &RareEventConfig) -> Result<(), SimError> {
+    let problem = if !(config.boost > 0.0 && config.boost.is_finite()) {
+        format!("the rate boost must be a positive number, got {}", config.boost)
+    } else if !(config.rel_err > 0.0 && config.rel_err.is_finite()) {
+        format!("the relative error must be a positive number, got {}", config.rel_err)
+    } else if !(config.confidence > 0.0 && config.confidence < 1.0) {
+        format!("the confidence must lie in (0, 1), got {}", config.confidence)
+    } else {
+        return Ok(());
+    };
+    Err(SimError::InvalidInput { detail: problem })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::property::Goal;
     use slim_automata::prelude::*;
-    use slim_stats::rng::path_rng;
 
     /// ok --λ--> failed with a tiny λ: P(◇[0,1] failed) = 1 − e^{−λ}.
     fn rare_net(lambda: f64) -> (Network, TimedReach) {
@@ -247,7 +237,10 @@ mod tests {
         let gen = PathGenerator::new(&net, &prop, 1000);
         let mut strategy = crate::strategy::Asap;
         let mut rng = path_rng(0, 0);
-        let (out, w) = gen.generate_biased(&mut strategy, &mut rng, 50.0).unwrap();
+        let mut hooks = PathHooks { bias: 50.0, ..PathHooks::default() };
+        let (out, w) = gen
+            .generate_hooked(&mut SimScratch::new(), &mut strategy, &mut rng, &mut hooks)
+            .unwrap();
         assert_eq!(out.verdict, crate::verdict::Verdict::Satisfied);
         assert!((w - 1.0).abs() < 1e-12, "weight {w} should be exactly 1");
     }
@@ -265,5 +258,26 @@ mod tests {
         let r = analyze_rare(&net, &prop, &cfg).unwrap();
         assert!(!r.converged);
         assert_eq!(r.estimate.samples, 200);
+    }
+
+    #[test]
+    fn invalid_configs_are_rejected_not_panicked() {
+        let (net, prop) = rare_net(1e-3);
+        let bad = [
+            RareEventConfig { boost: 0.0, ..Default::default() },
+            RareEventConfig { boost: -1.0, ..Default::default() },
+            RareEventConfig { boost: f64::NAN, ..Default::default() },
+            RareEventConfig { boost: f64::INFINITY, ..Default::default() },
+            RareEventConfig { rel_err: 0.0, ..Default::default() },
+            RareEventConfig { rel_err: f64::NAN, ..Default::default() },
+            RareEventConfig { confidence: 1.0, ..Default::default() },
+            RareEventConfig { confidence: 0.0, ..Default::default() },
+        ];
+        for cfg in bad {
+            match analyze_rare(&net, &prop, &cfg) {
+                Err(SimError::InvalidInput { .. }) => {}
+                other => panic!("{cfg:?}: expected InvalidInput, got {other:?}"),
+            }
+        }
     }
 }

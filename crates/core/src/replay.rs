@@ -295,7 +295,7 @@ fn effective_window(net: &Network, state: &NetState) -> Result<IntervalSet, Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::PathGenerator;
+    use crate::engine::{PathGenerator, PathHooks, SimScratch};
     use crate::property::Goal;
     use crate::strategy::{Asap, MaxTime, Progressive, StrategyKind};
     use crate::trace::{MemorySink, PathTracer};
@@ -333,7 +333,9 @@ mod tests {
         let mut sink = MemorySink::default();
         {
             let mut tracer = PathTracer::new(net, &mut sink);
-            gen.generate_traced(strategy, &mut rng(seed), &mut tracer).unwrap();
+            let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
+            gen.generate_hooked(&mut SimScratch::new(), strategy, &mut rng(seed), &mut hooks)
+                .unwrap();
         }
         sink.events
     }

@@ -14,9 +14,9 @@
 //! with deterministic mock samplers (panics, locks, slow late paths).
 
 use crate::config::{DeadlockPolicy, SimConfig};
-use crate::engine::{BatchScratch, PathGenerator};
+use crate::engine::{PathGenerator, PathHooks, SimScratch};
 use crate::error::SimError;
-use crate::obs::SimObserver;
+use crate::obs::{PathDetail, SimObserver};
 use crate::preverdict::{pre_verdict_with, PreVerdict};
 use crate::property::TimedReach;
 use crate::strategy::Strategy;
@@ -28,6 +28,7 @@ use slim_obs::report::ConvergencePoint;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::estimator::{Estimate, Generator};
 use slim_stats::parallel::RoundRobinCollector;
+use slim_stats::rng::path_rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -63,33 +64,23 @@ impl AnalysisResult {
 /// index); tests substitute deterministic mocks to pin down the runner's
 /// failure and completion semantics without racing real simulations.
 pub(crate) trait PathSource: Sync {
-    /// Per-worker reusable workspace threaded through [`Self::sample_block`].
-    type Scratch;
-
-    /// Creates a fresh workspace (once per worker, not per path).
-    fn make_scratch(&self) -> Self::Scratch;
-
-    /// Generates the outcomes of paths `start..start + count`, clearing
-    /// `out` and pushing one result per path in index order. `prof`
-    /// receives the kernel's profile hooks.
-    #[allow(clippy::too_many_arguments)]
-    fn sample_block<P: ProfileHooks>(
+    /// Generates the outcome of path `index` on the worker's `scratch`.
+    /// With `obs` present the path's detail and wall time are flushed to
+    /// it; `prof` receives the kernel's profile hooks.
+    fn sample<P: ProfileHooks>(
         &self,
-        start: u64,
-        count: usize,
-        scratch: &mut Self::Scratch,
+        index: u64,
+        scratch: &mut SimScratch,
         strategy: &mut dyn Strategy,
         obs: Option<&SimObserver>,
-        prof: &mut P,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    );
+        prof: P,
+    ) -> Result<PathOutcome, SimError>;
 
     /// Size of one simulation state in bytes (for the memory estimate).
     fn state_bytes(&self) -> usize;
 }
 
-/// The production source: one seeded engine run per path index, on the
-/// batched kernel.
+/// The production source: one seeded engine run per path index.
 struct EngineSource<'a> {
     gen: PathGenerator<'a>,
     seed: u64,
@@ -102,25 +93,27 @@ impl<'a> EngineSource<'a> {
 }
 
 impl PathSource for EngineSource<'_> {
-    type Scratch = BatchScratch;
-
-    fn make_scratch(&self) -> BatchScratch {
-        BatchScratch::new()
-    }
-
-    fn sample_block<P: ProfileHooks>(
+    fn sample<P: ProfileHooks>(
         &self,
-        start: u64,
-        count: usize,
-        scratch: &mut BatchScratch,
+        index: u64,
+        scratch: &mut SimScratch,
         strategy: &mut dyn Strategy,
         obs: Option<&SimObserver>,
-        prof: &mut P,
-        out: &mut Vec<Result<PathOutcome, SimError>>,
-    ) {
-        self.gen.generate_batch_profiled_with(
-            scratch, strategy, self.seed, start, 1, count, obs, prof, out,
-        );
+        prof: P,
+    ) -> Result<PathOutcome, SimError> {
+        let mut rng = path_rng(self.seed, index);
+        let start = obs.map(|_| Instant::now());
+        let mut detail = PathDetail::default();
+        let mut hooks =
+            PathHooks { tracer: None, detail: obs.map(|_| &mut detail), bias: 1.0, prof };
+        let result = self.gen.generate_hooked(scratch, strategy, &mut rng, &mut hooks);
+        drop(hooks);
+        let outcome = result?.0;
+        if let (Some(obs), Some(start)) = (obs, start) {
+            detail.nanos = start.elapsed().as_nanos() as u64;
+            obs.record_path(&outcome, &detail);
+        }
+        Ok(outcome)
     }
 
     fn state_bytes(&self) -> usize {
@@ -194,10 +187,9 @@ fn analyze_source<S: PathSource>(
 /// returning the merged [`KernelProfile`] alongside the analysis result.
 ///
 /// This is the fixed-target runner with per-worker [`KernelProfile`]
-/// hooks, merged with wrapping adds in worker-index order. Blocks hold
-/// `batch_lanes` *consecutive* path indices, so batch composition does
-/// not depend on the worker count, and the profile is a pure function of
-/// `(model, property, seed, accuracy, batch_lanes)`. The static
+/// hooks, merged with wrapping adds in worker-index order. Every counter
+/// is a sum over paths, so the profile is a pure function of
+/// `(model, property, seed, accuracy)`, whatever the worker count. The static
 /// pre-verdict short-circuit is skipped: a decisive pre-verdict samples
 /// zero paths, leaving nothing to profile.
 ///
@@ -340,27 +332,30 @@ fn finish_run(
     }
 }
 
+/// Paths per fixed-target block: a worker simulates [`BLOCK`]
+/// consecutive indices before it moves on to its next block, and the
+/// calling thread reports progress between its blocks.
+const BLOCK: u64 = 16;
+
 /// How a fixed-target run splits paths `0..target` over its workers:
-/// blocks of `lanes` consecutive indices, block `b` to worker
+/// blocks of [`BLOCK`] consecutive indices, block `b` to worker
 /// `b mod workers`, where it starts at the worker's local path position
-/// `(b / workers) · lanes`.
+/// `(b / workers) · BLOCK`.
 #[derive(Debug, Clone, Copy)]
 struct BlockPlan {
     target: u64,
-    lanes: u64,
     workers: u64,
     blocks: u64,
 }
 
 impl BlockPlan {
-    fn new(target: u64, lanes: usize, workers: usize) -> BlockPlan {
-        let lanes = lanes.max(1) as u64;
-        BlockPlan { target, lanes, workers: workers.max(1) as u64, blocks: target.div_ceil(lanes) }
+    fn new(target: u64, workers: usize) -> BlockPlan {
+        BlockPlan { target, workers: workers.max(1) as u64, blocks: target.div_ceil(BLOCK) }
     }
 
-    /// Paths in block `b`; only the last block can be short.
-    fn block_len(&self, b: u64) -> usize {
-        (self.target - b * self.lanes).min(self.lanes) as usize
+    /// The path indices of block `b`; only the last block can be short.
+    fn block(&self, b: u64) -> std::ops::Range<u64> {
+        b * BLOCK..((b + 1) * BLOCK).min(self.target)
     }
 }
 
@@ -397,13 +392,13 @@ fn analyze_fixed_impl<S: PathSource, P: ProfileHooks + Send>(
     make_hooks: impl Fn() -> P + Sync,
 ) -> Result<(AnalysisResult, Vec<P>), SimError> {
     let start = Instant::now();
-    let plan = BlockPlan::new(target, config.batch_lanes, config.workers);
+    let plan = BlockPlan::new(target, config.workers);
     // The lowest failing path index seen so far: workers skip blocks past
     // it, since only the lowest-index failure is reported.
     let first_failure = AtomicU64::new(u64::MAX);
     let work = |w: usize| -> Result<WorkerFold<P>, Failure> {
-        // First index of the block in progress, to place a panic.
-        let mut at = w as u64 * plan.lanes;
+        // Index of the path in progress, to place a panic.
+        let mut at = w as u64 * BLOCK;
         let body = AssertUnwindSafe(|| {
             fold_worker(w, source, config, plan, obs, make_hooks(), &first_failure, &mut at)
         });
@@ -439,8 +434,8 @@ fn analyze_fixed_impl<S: PathSource, P: ProfileHooks + Send>(
     let mut convergence = ConvergenceSchedule::new();
     for b in 0..plan.blocks {
         let fold = &folds[(b % plan.workers) as usize];
-        let local = (b / plan.workers * plan.lanes) as usize;
-        for pos in local..local + plan.block_len(b) {
+        let local = (b / plan.workers * BLOCK) as usize;
+        for pos in local..local + plan.block(b).count() {
             generator.add(fold.successes[pos / 64] >> (pos % 64) & 1 == 1);
             if let Some(o) = obs {
                 convergence.after_sample(generator.as_ref(), config.accuracy, o);
@@ -454,7 +449,7 @@ fn analyze_fixed_impl<S: PathSource, P: ProfileHooks + Send>(
 
 /// Worker `w` of [`analyze_fixed_impl`]: simulates its blocks in order
 /// and folds their outcomes, returning at its first failure. `at` tracks
-/// the first index of the block in progress.
+/// the index of the path in progress.
 #[allow(clippy::too_many_arguments)]
 fn fold_worker<S: PathSource, P: ProfileHooks>(
     w: usize,
@@ -473,19 +468,14 @@ fn fold_worker<S: PathSource, P: ProfileHooks>(
         hooks,
     };
     let mut strategy = config.strategy.instantiate();
-    let mut scratch = source.make_scratch();
-    let mut out = Vec::new();
+    let mut scratch = SimScratch::new();
     let mut pos = 0usize;
     let mut b = w as u64;
-    while b < plan.blocks && b * plan.lanes < first_failure.load(Ordering::Relaxed) {
-        let first = b * plan.lanes;
-        *at = first;
-        let count = plan.block_len(b);
-        let sampled_at = obs.map(|_| Instant::now());
-        let (scratch, strategy) = (&mut scratch, strategy.as_mut());
-        source.sample_block(first, count, scratch, strategy, obs, &mut fold.hooks, &mut out);
-        let mut satisfied = 0u64;
-        for (index, res) in (first..).zip(out.drain(..)) {
+    while b < plan.blocks && b * BLOCK < first_failure.load(Ordering::Relaxed) {
+        for index in plan.block(b) {
+            *at = index;
+            let sampled_at = obs.map(|_| Instant::now());
+            let res = source.sample(index, &mut scratch, strategy.as_mut(), obs, &mut fold.hooks);
             let outcome = match res.and_then(|o| check_deadlock_policy(config, &o).map(|()| o)) {
                 Ok(outcome) => outcome,
                 Err(e) => {
@@ -493,38 +483,31 @@ fn fold_worker<S: PathSource, P: ProfileHooks>(
                     return Err((index, e));
                 }
             };
+            if let (Some(o), Some(t0)) = (obs, sampled_at) {
+                o.record_worker_path(w, &outcome, t0.elapsed());
+            }
             fold.stats.record(&outcome);
-            let success = outcome.verdict.is_success();
             if pos.is_multiple_of(64) {
                 fold.successes.push(0);
             }
-            fold.successes[pos / 64] |= u64::from(success) << (pos % 64);
+            fold.successes[pos / 64] |= u64::from(outcome.verdict.is_success()) << (pos % 64);
             pos += 1;
-            satisfied += u64::from(success);
             if let Some(witnesses) = &mut fold.witnesses {
                 witnesses.offer(index, outcome.verdict);
             }
         }
-        if let (Some(o), Some(t0)) = (obs, sampled_at) {
-            o.record_worker_batch(w, count as u64, satisfied, t0.elapsed() / count as u32);
-            // The calling thread reports every worker's progress between
-            // its own blocks.
-            if w == 0 {
-                o.on_worker_progress(plan.target, config.accuracy);
-            }
+        // The calling thread reports every worker's progress between its
+        // own blocks.
+        if let (Some(o), 0) = (obs, w) {
+            o.on_worker_progress(plan.target, config.accuracy);
         }
         b += plan.workers;
     }
     Ok(fold)
 }
 
-/// One worker, sequential stopping rule: simulates blocks of
-/// `batch_lanes` paths and feeds the generator in index order until it
-/// completes. A block may overshoot completion by up to `lanes − 1`
-/// paths; those are never consumed, so neither the stats nor the worker
-/// attribution count them, and their errors and lock verdicts cannot fail
-/// the finished estimate — the same gating the round-robin collector
-/// applies to in-flight samples.
+/// One worker, sequential stopping rule: simulates one path at a time and
+/// feeds the generator in index order until it completes.
 fn analyze_sequential_impl<S: PathSource>(
     source: &S,
     config: &SimConfig,
@@ -533,45 +516,25 @@ fn analyze_sequential_impl<S: PathSource>(
 ) -> Result<AnalysisResult, SimError> {
     let start = Instant::now();
     let mut strategy = config.strategy.instantiate();
-    let mut scratch = source.make_scratch();
+    let mut scratch = SimScratch::new();
     let mut stats = PathStats::default();
     let mut convergence = ConvergenceSchedule::new();
     let mut index: u64 = 0;
-    let lanes = config.batch_lanes.max(1);
-    let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
 
     while !generator.is_complete() {
         let sampled_at = obs.map(|_| Instant::now());
-        let (scratch, strategy) = (&mut scratch, strategy.as_mut());
-        source.sample_block(index, lanes, scratch, strategy, obs, &mut NoopProfile, &mut batch);
-        let busy_each = sampled_at.map_or(Duration::ZERO, |t0| t0.elapsed() / lanes as u32);
-        let (mut consumed, mut satisfied) = (0u64, 0u64);
-        for (j, res) in batch.drain(..).enumerate() {
-            let complete = generator.is_complete();
-            let outcome = match res {
-                Ok(outcome) => outcome,
-                Err(e) if !complete => return Err(e),
-                Err(_) => continue,
-            };
-            if complete {
-                continue;
-            }
-            check_deadlock_policy(config, &outcome)?;
-            stats.record(&outcome);
-            generator.add(outcome.verdict.is_success());
-            consumed += 1;
-            satisfied += outcome.verdict.is_success() as u64;
-            if let Some(o) = obs {
-                o.offer_witness(index + j as u64, outcome.verdict);
-                convergence.after_sample(generator.as_ref(), config.accuracy, o);
-                let estimate = current_estimate(generator.as_ref(), config.accuracy);
-                o.on_progress(generator.samples(), None, estimate);
-            }
+        let outcome = source.sample(index, &mut scratch, strategy.as_mut(), obs, NoopProfile)?;
+        check_deadlock_policy(config, &outcome)?;
+        stats.record(&outcome);
+        generator.add(outcome.verdict.is_success());
+        if let (Some(o), Some(t0)) = (obs, sampled_at) {
+            o.record_worker_path(0, &outcome, t0.elapsed());
+            o.offer_witness(index, outcome.verdict);
+            convergence.after_sample(generator.as_ref(), config.accuracy, o);
+            let estimate = current_estimate(generator.as_ref(), config.accuracy);
+            o.on_progress(generator.samples(), None, estimate);
         }
-        if let Some(o) = obs {
-            o.record_worker_batch(0, consumed, satisfied, busy_each);
-        }
-        index += lanes as u64;
+        index += 1;
     }
 
     Ok(finish_run(start, generator.as_ref(), config.accuracy, stats, source.state_bytes(), obs))
@@ -625,24 +588,18 @@ fn analyze_round_robin_impl<S: PathSource>(
                 scope.spawn(move || {
                     let body = AssertUnwindSafe(|| {
                         let mut strategy = strategy_kind.instantiate();
-                        // Created inside the worker: the scratch never
-                        // crosses threads, so it needs no Send bound.
-                        let mut scratch = source.make_scratch();
-                        let mut batch: Vec<Result<PathOutcome, SimError>> = Vec::new();
+                        let mut scratch = SimScratch::new();
                         // Worker w handles path indices w, w + k, w + 2k, …
                         let mut index = w as u64;
                         while !stop.load(Ordering::Relaxed) {
                             let sampled_at = obs.map(|_| Instant::now());
-                            source.sample_block(
+                            let out = source.sample(
                                 index,
-                                1,
                                 &mut scratch,
                                 strategy.as_mut(),
                                 obs,
-                                &mut NoopProfile,
-                                &mut batch,
+                                NoopProfile,
                             );
-                            let Some(out) = batch.pop() else { break };
                             let busy = sampled_at.map_or(Duration::ZERO, |t0| t0.elapsed());
                             let failed = out.is_err();
                             if tx.send((w, out, busy)).is_err() || failed {
@@ -799,13 +756,12 @@ mod tests {
     #[test]
     fn profiled_analysis_is_worker_count_invariant() {
         let (net, prop) = guarded_net();
-        let base = loose().with_seed(7).with_batch_lanes(4);
+        let base = loose().with_seed(7);
         let (r1, p1) = analyze_profiled(&net, &prop, &base.with_workers(1), None).unwrap();
         let (r4, p4) = analyze_profiled(&net, &prop, &base.with_workers(4), None).unwrap();
         assert_eq!(r1.estimate, r4.estimate);
         assert_eq!(p1.op_counts(), p4.op_counts());
         assert_eq!(p1.digram_counts(), p4.digram_counts());
-        assert_eq!(p1.batch_counts(), p4.batch_counts());
         assert!(p1.total_ops() > 0);
         assert!(p1.delay_solve_count() > 0);
         // The estimate, stats and observations also match the unprofiled
@@ -853,7 +809,7 @@ mod tests {
         // seeded path: any change to the compiled kernel's instruction
         // stream — reordering, fusion, extra evals — shows up here as a
         // count diff, not as a silent profile drift.
-        use crate::engine::{PathGenerator, SimScratch};
+        use crate::engine::{PathGenerator, PathHooks, SimScratch};
         use slim_stats::rng::path_rng;
 
         // A compound clock guard so the solver executes a multi-op
@@ -883,8 +839,8 @@ mod tests {
             let mut prof = KernelProfile::new(profile_shape(&net));
             for path in 0..4 {
                 let mut rng = path_rng(7, path);
-                gen.generate_profiled_with(&mut scratch, strategy.as_mut(), &mut rng, &mut prof)
-                    .unwrap();
+                let mut hooks = PathHooks::profiled(&mut prof);
+                gen.generate_hooked(&mut scratch, strategy.as_mut(), &mut rng, &mut hooks).unwrap();
             }
             prof
         };
@@ -1234,22 +1190,15 @@ mod tests {
     struct FnSource<F: Fn(u64) -> Result<PathOutcome, SimError> + Sync>(F);
 
     impl<F: Fn(u64) -> Result<PathOutcome, SimError> + Sync> PathSource for FnSource<F> {
-        type Scratch = ();
-
-        fn make_scratch(&self) {}
-
-        fn sample_block<P: ProfileHooks>(
+        fn sample<P: ProfileHooks>(
             &self,
-            start: u64,
-            count: usize,
-            _scratch: &mut (),
+            index: u64,
+            _scratch: &mut SimScratch,
             _strategy: &mut dyn Strategy,
             _obs: Option<&SimObserver>,
-            _prof: &mut P,
-            out: &mut Vec<Result<PathOutcome, SimError>>,
-        ) {
-            out.clear();
-            out.extend((start..start + count as u64).map(&self.0));
+            _prof: P,
+        ) -> Result<PathOutcome, SimError> {
+            self.0(index)
         }
 
         fn state_bytes(&self) -> usize {
@@ -1277,16 +1226,17 @@ mod tests {
 
     #[test]
     fn worker_panic_maps_to_worker_failed() {
-        // Paths 2 and 9 panic. The runner must surface a structured error
+        // Paths 2 and 25 panic. The runner must surface a structured error
         // with the lowest panicking path's message — not hang or unwind.
         // Path 2 lies in block 0, which worker 0, the calling thread,
-        // simulates.
+        // simulates; path 25 lies in block 1, another worker's block
+        // whenever there are several.
         let caller = std::thread::current().id();
         let source = FnSource(|index| {
             if index == 2 {
                 assert_eq!(std::thread::current().id(), caller);
             }
-            if index == 2 || index == 9 {
+            if index == 2 || index == 25 {
                 panic!("injected failure on path {index}");
             }
             Ok(sat(1))
@@ -1303,8 +1253,9 @@ mod tests {
 
     #[test]
     fn parallel_deadlock_policy_error_aborts() {
-        // Locks at paths 13 and 50; the lower one is slow, so under
-        // first-to-arrive semantics path 50's lock would be reported.
+        // Locks at paths 13 (block 0) and 20 (block 1); the lower one is
+        // slow, so under first-to-arrive semantics path 20's lock would be
+        // reported.
         let lock_at = |index: u64| PathOutcome {
             verdict: Verdict::Deadlock,
             steps: 1,
@@ -1315,7 +1266,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
                 Ok(lock_at(13))
             }
-            50 => Ok(lock_at(50)),
+            20 => Ok(lock_at(20)),
             _ => Ok(sat(1)),
         });
         for workers in 1..=4 {
@@ -1382,18 +1333,31 @@ mod tests {
 
     // --- Fixed-target runner: shared-nothing folds, index-order merge ---
 
-    /// Chernoff at (0.1, 0.1): 150 paths, in blocks of 4.
+    /// Chernoff at (0.1, 0.1): 150 paths, in ten blocks of 16.
     fn fixed_config(workers: usize) -> SimConfig {
-        SimConfig::default()
-            .with_accuracy(Accuracy::new(0.1, 0.1).unwrap())
-            .with_workers(workers)
-            .with_batch_lanes(4)
+        SimConfig::default().with_accuracy(Accuracy::new(0.1, 0.1).unwrap()).with_workers(workers)
+    }
+
+    #[test]
+    fn fixed_target_blocks_hold_sixteen_paths() {
+        // Target 40 on 2 workers: blocks 0..16 and 32..40 go to worker 0,
+        // block 16..32 to worker 1.
+        let source = FnSource(|_| Ok(sat(1)));
+        let cfg = fixed_config(2);
+        let generator = cfg.generator.instantiate(cfg.accuracy);
+        let obs = SimObserver::new(2);
+        let (r, _) =
+            analyze_fixed_impl(&source, &cfg, generator, 40, Some(&obs), || NoopProfile).unwrap();
+        assert_eq!(r.stats.total(), 40);
+        let paths: Vec<u64> = obs.worker_stats().iter().map(|w| w.paths).collect();
+        assert_eq!(paths, vec![24, 16]);
     }
 
     #[test]
     fn fixed_target_reports_lowest_index_error_at_any_worker_count() {
-        // Errors at paths 21 and 37; the lower one is slow, so under
-        // first-to-arrive semantics path 37's error would win.
+        // Errors at paths 21 (block 1) and 37 (block 2); the lower one is
+        // slow, so under first-to-arrive semantics path 37's error would
+        // win.
         let source = FnSource(|index| match index {
             21 => {
                 std::thread::sleep(Duration::from_millis(50));

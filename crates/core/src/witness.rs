@@ -12,7 +12,7 @@
 //! byte-identical across runs and worker counts.
 
 use crate::config::SimConfig;
-use crate::engine::{PathGenerator, SimScratch};
+use crate::engine::{PathGenerator, PathHooks, SimScratch};
 use crate::error::SimError;
 use crate::property::TimedReach;
 use crate::trace::{MemorySink, PathTracer, TraceEvent, TraceOptions};
@@ -148,7 +148,8 @@ pub fn capture_witnesses(
         let mut sink = MemorySink::default();
         let outcome = {
             let mut tracer = PathTracer::with_options(net, &mut sink, opts);
-            gen.generate_traced_with(&mut scratch, strategy.as_mut(), &mut rng, &mut tracer)?
+            let mut hooks = PathHooks { tracer: Some(&mut tracer), ..PathHooks::default() };
+            gen.generate_hooked(&mut scratch, strategy.as_mut(), &mut rng, &mut hooks)?.0
         };
         let matches = match category {
             WitnessCategory::Goal => outcome.verdict.is_success(),

@@ -13,8 +13,8 @@ use slim_lint::LintConfig;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::rng::{derive_seed, path_rng};
 use slimsim_core::prelude::{
-    analyze, pre_verdict, BatchScratch, DeadlockPolicy, Goal, PathGenerator, PathOutcome,
-    PreVerdict, SimConfig, SimError, SimScratch, StrategyKind, TimedReach,
+    analyze, pre_verdict, DeadlockPolicy, Goal, PathGenerator, PreVerdict, SimConfig, SimError,
+    SimScratch, StrategyKind, TimedReach,
 };
 
 use crate::generate::{GeneratedModel, GoalSpec};
@@ -26,13 +26,10 @@ const SOUNDNESS_SEED_TAG: u64 = 0x00f1_7b0a_57ab_1e00;
 /// Tag for the prune-invariance runs, distinct from every other stream.
 const INVARIANCE_SEED_TAG: u64 = 0x0b5e_55ed;
 
-/// Tag for the batch-equivalence paths, distinct from every other stream.
-const BATCH_SEED_TAG: u64 = 0x000b_a7c1_1ed0_u64;
-
 /// Tag for the fusion-equivalence paths, distinct from every other stream.
 const FUSION_SEED_TAG: u64 = 0x000f_05ed_0000_u64;
 
-/// The eight checked claims, in pipeline order.
+/// The seven checked claims, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OracleKind {
     /// `parse(pretty(m)) == m`, and `pretty` is a fixed point of the
@@ -49,9 +46,6 @@ pub enum OracleKind {
     /// a seeded pseudo-random walk: delay windows, candidate lists
     /// (order included), Markovian rates, successor states.
     CompiledEquivalence,
-    /// The batched SoA path kernel reproduces the scalar engine's
-    /// per-path outcome (or error) lane-exactly at every lane width.
-    BatchEquivalence,
     /// The fused/specialized kernel (`CompileOptions::default`) and the
     /// plain reference kernel (`CompileOptions::reference`) produce
     /// bit-identical per-path verdict streams (or the same errors).
@@ -72,7 +66,6 @@ impl OracleKind {
             OracleKind::Lint => "lint",
             OracleKind::Bytecode => "bytecode",
             OracleKind::CompiledEquivalence => "compiled-equivalence",
-            OracleKind::BatchEquivalence => "batch-equivalence",
             OracleKind::FusionEquivalence => "fusion-equivalence",
             OracleKind::FixpointSoundness => "fixpoint-soundness",
             OracleKind::PruneInvariance => "prune-invariance",
@@ -85,12 +78,11 @@ impl OracleKind {
     }
 
     /// All oracles, in pipeline order.
-    pub const ALL: [OracleKind; 8] = [
+    pub const ALL: [OracleKind; 7] = [
         OracleKind::RoundTrip,
         OracleKind::Lint,
         OracleKind::Bytecode,
         OracleKind::CompiledEquivalence,
-        OracleKind::BatchEquivalence,
         OracleKind::FusionEquivalence,
         OracleKind::FixpointSoundness,
         OracleKind::PruneInvariance,
@@ -231,12 +223,6 @@ pub fn run_oracles(model: &GeneratedModel, cfg: &OracleConfig) -> OracleOutcome 
             return out;
         }
     };
-
-    if let Err(detail) = batch_equivalence(model, &net, &property, cfg) {
-        out.failure = Some(OracleFailure { kind: OracleKind::BatchEquivalence, detail });
-        return out;
-    }
-    out.ran.push(OracleKind::BatchEquivalence);
 
     if let Err(detail) = fusion_equivalence(model, &net, &property, cfg) {
         out.failure = Some(OracleFailure { kind: OracleKind::FusionEquivalence, detail });
@@ -541,72 +527,6 @@ fn fixpoint_soundness(
         }
     }
     Ok(Some(claim))
-}
-
-// ---- batch equivalence ----
-
-/// Challenges the batched SoA kernel's lane determinism contract: every
-/// path generated through a batch must reproduce the scalar engine's
-/// outcome for the same `(seed, index)` — verdict, step count, end time,
-/// or the *same* error — at every lane width, on a scratch deliberately
-/// left dirty between widths.
-fn batch_equivalence(
-    model: &GeneratedModel,
-    net: &Network,
-    property: &TimedReach,
-    cfg: &OracleConfig,
-) -> Result<(), String> {
-    let generator = PathGenerator::new(net, property, cfg.max_steps);
-    let sim_seed = derive_seed(model.seed, model.index ^ BATCH_SEED_TAG);
-    let total = cfg.soundness_paths;
-
-    // Scalar reference stream, one fresh RNG per path index.
-    let mut scratch = SimScratch::new();
-    let mut scalar: Vec<Result<PathOutcome, String>> = Vec::with_capacity(total as usize);
-    for i in 0..total {
-        let mut rng = path_rng(sim_seed, i);
-        let mut strategy = StrategyKind::Asap.instantiate();
-        scalar.push(
-            generator
-                .generate_with(&mut scratch, strategy.as_mut(), &mut rng)
-                .map_err(|e| e.to_string()),
-        );
-    }
-
-    // The same stream through the batched kernel; the scratch stays
-    // dirty across widths so stale lane state can never leak.
-    let mut batch_scratch = BatchScratch::new();
-    let mut batch = Vec::new();
-    for lanes in [4usize, 8] {
-        let mut strategy = StrategyKind::Asap.instantiate();
-        let mut i = 0u64;
-        while i < total {
-            let count = ((total - i) as usize).min(lanes);
-            generator.generate_batch_with(
-                &mut batch_scratch,
-                strategy.as_mut(),
-                sim_seed,
-                i,
-                1,
-                count,
-                None,
-                &mut batch,
-            );
-            for (j, got) in batch.drain(..).enumerate() {
-                let index = i + j as u64;
-                let got = got.map_err(|e| e.to_string());
-                let want = &scalar[index as usize];
-                if got != *want {
-                    return Err(format!(
-                        "path {index} (seed {sim_seed}) diverged at lane width {lanes}: \
-                         scalar {want:?}, batched {got:?}"
-                    ));
-                }
-            }
-            i += count as u64;
-        }
-    }
-    Ok(())
 }
 
 // ---- fusion equivalence ----

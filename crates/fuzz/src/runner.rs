@@ -69,7 +69,7 @@ pub struct CampaignSummary {
     /// Recorded failures, in discovery order.
     pub failures: Vec<CampaignFailure>,
     /// Completed runs per oracle, aligned with [`OracleKind::ALL`].
-    pub oracle_runs: [u64; 8],
+    pub oracle_runs: [u64; OracleKind::ALL.len()],
     /// Models on which the fixpoint claimed exactly `P = 0`.
     pub pre_zero: u64,
     /// Models on which the fixpoint claimed exactly `P = 1`.

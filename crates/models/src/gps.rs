@@ -146,7 +146,7 @@ mod tests {
         // never an acquisition before 10 s).
         for seed in 0..10 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = gen.generate(&mut Asap, &mut rng).unwrap();
+            let out = gen.generate_with(&mut SimScratch::new(), &mut Asap, &mut rng).unwrap();
             if out.verdict == Verdict::Satisfied {
                 assert!(out.end_time >= 10.0 - 1e-9, "acquired at {}", out.end_time);
             }
@@ -170,7 +170,9 @@ mod tests {
         let mut sat = 0;
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
-            if gen.generate(&mut Asap, &mut rng).unwrap().verdict == Verdict::Satisfied {
+            if gen.generate_with(&mut SimScratch::new(), &mut Asap, &mut rng).unwrap().verdict
+                == Verdict::Satisfied
+            {
                 sat += 1;
             }
         }
@@ -192,7 +194,9 @@ mod tests {
         let mut sat = 0;
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
-            if gen.generate(&mut MaxTime, &mut rng).unwrap().verdict == Verdict::Satisfied {
+            if gen.generate_with(&mut SimScratch::new(), &mut MaxTime, &mut rng).unwrap().verdict
+                == Verdict::Satisfied
+            {
                 sat += 1;
             }
         }
@@ -221,7 +225,12 @@ mod tests {
         let n = 300;
         for seed in 0..n {
             let mut rng = StdRng::seed_from_u64(seed);
-            if gen.generate(&mut Progressive, &mut rng).unwrap().verdict == Verdict::Satisfied {
+            if gen
+                .generate_with(&mut SimScratch::new(), &mut Progressive, &mut rng)
+                .unwrap()
+                .verdict
+                == Verdict::Satisfied
+            {
                 sat += 1;
             }
         }

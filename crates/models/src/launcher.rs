@@ -411,7 +411,9 @@ mod tests {
         let gen = PathGenerator::new(&net, &prop, 100_000);
         for kind in StrategyKind::ALL {
             let mut rng = slim_stats::rng::StdRng::seed_from_u64(5);
-            let out = gen.generate(kind.instantiate().as_mut(), &mut rng).unwrap();
+            let out = gen
+                .generate_with(&mut SimScratch::new(), kind.instantiate().as_mut(), &mut rng)
+                .unwrap();
             assert_eq!(out.verdict, Verdict::Satisfied, "{kind}");
             assert!((out.end_time - 0.1).abs() < 1e-9, "{kind} boosts until {}", out.end_time);
         }
@@ -434,7 +436,7 @@ mod tests {
         let prop = TimedReach::new(goal(&net), 2.0);
         let gen = PathGenerator::new(&net, &prop, 100_000);
         let mut rng = slim_stats::rng::StdRng::seed_from_u64(9);
-        let out = gen.generate(&mut Asap, &mut rng).unwrap();
+        let out = gen.generate_with(&mut SimScratch::new(), &mut Asap, &mut rng).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((out.end_time - 1.0).abs() < 1e-6, "depletion at {}", out.end_time);
     }

@@ -142,7 +142,7 @@ mod tests {
         let prop = TimedReach::new(Goal::expr(Expr::var(served)), 10.0);
         let gen = PathGenerator::new(&net, &prop, 1000);
         let mut rng = slim_stats::rng::StdRng::seed_from_u64(3);
-        let out = gen.generate(&mut Progressive, &mut rng).unwrap();
+        let out = gen.generate_with(&mut SimScratch::new(), &mut Progressive, &mut rng).unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((1.0..=5.0).contains(&out.end_time), "handshake at {}", out.end_time);
     }

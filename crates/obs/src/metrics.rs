@@ -98,20 +98,9 @@ impl Histogram {
     /// Records one observation.
     #[inline]
     pub fn record(&self, v: u64) {
-        self.record_n(v, 1);
-    }
-
-    /// Records `n` observations of the same value with one pass over the
-    /// atomics — what a batch of equal measurements (e.g. a wall time
-    /// attributed evenly across lanes) costs a single observation.
-    #[inline]
-    pub fn record_n(&self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.buckets[bucket_of(v)].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
         self.min.fetch_min(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
     }
@@ -246,12 +235,6 @@ impl MetricsRegistry {
     #[inline]
     pub fn record(&self, id: HistogramId, v: u64) {
         self.histograms[id.0].1.record(v);
-    }
-
-    /// Records `n` equal observations into a registered histogram.
-    #[inline]
-    pub fn record_n(&self, id: HistogramId, v: u64, n: u64) {
-        self.histograms[id.0].1.record_n(v, n);
     }
 
     /// Current value of a counter.

@@ -7,8 +7,8 @@
 //!   *digram* counts (the direct input for superinstruction fusion
 //!   candidate mining), per-guard evaluation/enabled counts,
 //!   per-transition firing counts, per-(process, location) occupancy
-//!   step counts, delay-window solve counts, and batch-lane utilization
-//!   histograms. Every counter is a plain `u64` updated without
+//!   step counts and delay-window solve counts. Every counter is a plain
+//!   `u64` updated without
 //!   synchronization; cross-worker aggregation is a [`KernelProfile::merge`]
 //!   of per-worker profiles with *wrapping* addition in worker-index
 //!   order, which makes the merged profile exactly reproducible for a
@@ -32,8 +32,11 @@ use std::time::{Duration, Instant};
 
 use crate::json::Json;
 
-/// Schema version written into every [`ProfileReport`].
-pub const PROFILE_SCHEMA_VERSION: u64 = 1;
+/// Schema version written into every [`ProfileReport`]. Version 2
+/// dropped version 1's batch-lane section (`batches`, `scalar_drains`,
+/// `lane_occupancy`); [`ProfileReport::from_json`] still reads version 1
+/// documents and ignores those fields.
+pub const PROFILE_SCHEMA_VERSION: u64 = 2;
 
 /// Discriminator value of the report's `kind` member, used by
 /// `slimsim report` to tell a profile document from a run report.
@@ -84,12 +87,41 @@ pub trait ProfileHooks {
     /// One delay-window (invariant) solve was performed.
     #[inline]
     fn delay_solve(&mut self) {}
+}
 
-    /// A batched sweep finished; `lane_steps[j]` is the number of steps
-    /// lane `j` executed before its path completed.
+/// A borrowed sink records into the sink it borrows, so a caller can
+/// lend its profiler to one path at a time.
+impl<P: ProfileHooks> ProfileHooks for &mut P {
+    const ENABLED: bool = P::ENABLED;
+
     #[inline]
-    fn batch(&mut self, lane_steps: &[u64]) {
-        let _ = lane_steps;
+    fn eval_begin(&mut self) {
+        (**self).eval_begin();
+    }
+
+    #[inline]
+    fn eval_op(&mut self, op: usize) {
+        (**self).eval_op(op);
+    }
+
+    #[inline]
+    fn guard_eval(&mut self, proc: usize, trans: usize, enabled: bool) {
+        (**self).guard_eval(proc, trans, enabled);
+    }
+
+    #[inline]
+    fn fired(&mut self, proc: usize, trans: usize) {
+        (**self).fired(proc, trans);
+    }
+
+    #[inline]
+    fn loc_step(&mut self, proc: usize, loc: usize) {
+        (**self).loc_step(proc, loc);
+    }
+
+    #[inline]
+    fn delay_solve(&mut self) {
+        (**self).delay_solve();
     }
 }
 
@@ -158,15 +190,6 @@ pub struct KernelProfile {
     loc_steps: Vec<u64>,
     /// Delay-window (invariant) solves.
     delay_solves: u64,
-    /// Steps executed with exactly `i` lanes still active (`lane_hist[i]`,
-    /// index 0 unused).
-    lane_hist: Vec<u64>,
-    /// Batched sweeps that covered a single lane (scalar drains).
-    scalar_drains: u64,
-    /// Batched sweeps recorded.
-    batches: u64,
-    /// Scratch for sorting lane step counts without reallocating.
-    lane_scratch: Vec<u64>,
 }
 
 impl KernelProfile {
@@ -185,10 +208,6 @@ impl KernelProfile {
             trans_fired: vec![0; n_trans],
             loc_steps: vec![0; n_locs],
             delay_solves: 0,
-            lane_hist: Vec::new(),
-            scalar_drains: 0,
-            batches: 0,
-            lane_scratch: Vec::new(),
         }
     }
 
@@ -232,11 +251,6 @@ impl KernelProfile {
         self.delay_solves
     }
 
-    /// `(batches, scalar_drains, lane_hist)` of the batch-lane counters.
-    pub fn batch_counts(&self) -> (u64, u64, &[u64]) {
-        (self.batches, self.scalar_drains, &self.lane_hist)
-    }
-
     /// Folds `other` into `self` with wrapping element-wise addition.
     /// Call in worker-index order to keep merged profiles deterministic.
     ///
@@ -256,12 +270,6 @@ impl KernelProfile {
         add(&mut self.trans_fired, &other.trans_fired);
         add(&mut self.loc_steps, &other.loc_steps);
         self.delay_solves = self.delay_solves.wrapping_add(other.delay_solves);
-        if self.lane_hist.len() < other.lane_hist.len() {
-            self.lane_hist.resize(other.lane_hist.len(), 0);
-        }
-        add(&mut self.lane_hist, &other.lane_hist);
-        self.scalar_drains = self.scalar_drains.wrapping_add(other.scalar_drains);
-        self.batches = self.batches.wrapping_add(other.batches);
     }
 }
 
@@ -305,27 +313,6 @@ impl ProfileHooks for KernelProfile {
     #[inline]
     fn delay_solve(&mut self) {
         self.delay_solves = self.delay_solves.wrapping_add(1);
-    }
-
-    fn batch(&mut self, lane_steps: &[u64]) {
-        self.batches = self.batches.wrapping_add(1);
-        if lane_steps.len() == 1 {
-            self.scalar_drains = self.scalar_drains.wrapping_add(1);
-        }
-        self.lane_scratch.clear();
-        self.lane_scratch.extend_from_slice(lane_steps);
-        self.lane_scratch.sort_unstable_by(|a, b| b.cmp(a));
-        if self.lane_hist.len() < lane_steps.len() + 1 {
-            self.lane_hist.resize(lane_steps.len() + 1, 0);
-        }
-        // Lanes sorted by steps descending: exactly `j + 1` lanes were
-        // still active for the steps between rank j's count and rank
-        // j+1's count.
-        for j in 0..self.lane_scratch.len() {
-            let hi = self.lane_scratch[j];
-            let lo = if j + 1 < self.lane_scratch.len() { self.lane_scratch[j + 1] } else { 0 };
-            self.lane_hist[j + 1] = self.lane_hist[j + 1].wrapping_add(hi - lo);
-        }
     }
 }
 
@@ -517,13 +504,6 @@ pub struct ProfileReport {
     pub locations: Vec<ProfileEntry>,
     /// Delay-window (invariant) solves.
     pub delay_solves: u64,
-    /// Batched sweeps executed.
-    pub batches: u64,
-    /// Batched sweeps that covered a single lane.
-    pub scalar_drains: u64,
-    /// `(active_lanes, steps)` pairs: how many kernel steps ran with
-    /// exactly that many lanes active, ascending by lane count.
-    pub lane_occupancy: Vec<(u64, u64)>,
 }
 
 impl ProfileReport {
@@ -590,13 +570,6 @@ impl ProfileReport {
             }
         }
         sort_entries(&mut locations);
-        let (batches, scalar_drains, lane_hist) = profile.batch_counts();
-        let lane_occupancy = lane_hist
-            .iter()
-            .enumerate()
-            .filter(|&(lanes, &steps)| lanes > 0 && steps > 0)
-            .map(|(lanes, &steps)| (lanes as u64, steps))
-            .collect();
         ProfileReport {
             schema_version: PROFILE_SCHEMA_VERSION,
             model: model.to_string(),
@@ -609,9 +582,6 @@ impl ProfileReport {
             transitions,
             locations,
             delay_solves: profile.delay_solve_count(),
-            batches,
-            scalar_drains,
-            lane_occupancy,
         }
     }
 
@@ -672,26 +642,12 @@ impl ProfileReport {
             ),
             ("locations", entries(&self.locations)),
             ("delay_solves", Json::Num(self.delay_solves as f64)),
-            ("batches", Json::Num(self.batches as f64)),
-            ("scalar_drains", Json::Num(self.scalar_drains as f64)),
-            (
-                "lane_occupancy",
-                Json::Arr(
-                    self.lane_occupancy
-                        .iter()
-                        .map(|&(lanes, steps)| {
-                            Json::obj([
-                                ("lanes", Json::Num(lanes as f64)),
-                                ("steps", Json::Num(steps as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ])
     }
 
-    /// Parses a report from its JSON document.
+    /// Parses a report from its JSON document. Version 1 documents parse
+    /// too: their batch-lane section (`batches`, `scalar_drains`,
+    /// `lane_occupancy`) is ignored, like any other unknown member.
     ///
     /// # Errors
     /// A message naming the first missing or ill-typed field.
@@ -760,20 +716,6 @@ impl ProfileReport {
                 .collect::<Result<Vec<_>, String>>()?,
             locations: entries("locations")?,
             delay_solves: req_u64(v, "delay_solves", "profile")?,
-            batches: req_u64(v, "batches", "profile")?,
-            scalar_drains: req_u64(v, "scalar_drains", "profile")?,
-            lane_occupancy: v
-                .get("lane_occupancy")
-                .and_then(Json::as_arr)
-                .ok_or("profile: missing array `lane_occupancy`")?
-                .iter()
-                .map(|l| {
-                    Ok((
-                        req_u64(l, "lanes", "lane_occupancy")?,
-                        req_u64(l, "steps", "lane_occupancy")?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, String>>()?,
         })
     }
 
@@ -799,18 +741,6 @@ impl ProfileReport {
                 ));
             }
         }
-        if self.scalar_drains > self.batches {
-            problems.push(format!(
-                "scalar_drains ({}) exceeds batches ({})",
-                self.scalar_drains, self.batches
-            ));
-        }
-        for w in self.lane_occupancy.windows(2) {
-            if w[1].0 <= w[0].0 {
-                problems.push("lane_occupancy lane counts not strictly increasing".to_string());
-                break;
-            }
-        }
         for (section, sorted) in [
             ("ops", is_sorted(&self.ops)),
             ("digrams", is_sorted(&self.digrams)),
@@ -823,8 +753,8 @@ impl ProfileReport {
         problems
     }
 
-    /// Renders the heat-map text view: top-K opcodes and digrams,
-    /// hottest guards and locations, and the batch-lane histogram.
+    /// Renders the heat-map text view: top-K opcodes and digrams, and the
+    /// hottest guards, transitions and locations.
     pub fn render_text(&self, top_k: usize) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -871,17 +801,7 @@ impl ProfileReport {
             }
         }
         top(&mut out, "locations (steps while resident)", &self.locations);
-        out.push_str(&format!(
-            "\ndelay solves : {}\nbatches      : {} ({} scalar drains)\n",
-            self.delay_solves, self.batches, self.scalar_drains
-        ));
-        if !self.lane_occupancy.is_empty() {
-            out.push_str("lane occupancy (steps at N active lanes):\n");
-            let max = self.lane_occupancy.iter().map(|&(_, s)| s).max().unwrap_or(0);
-            for &(lanes, steps) in &self.lane_occupancy {
-                out.push_str(&format!("  {lanes:>3} lanes {steps:>12}  {}\n", bar(steps, max)));
-            }
-        }
+        out.push_str(&format!("\ndelay solves : {}\n", self.delay_solves));
         out
     }
 }
@@ -952,16 +872,11 @@ mod tests {
         b.eval_op(0);
         b.guard_eval(0, 1, false);
         b.delay_solve();
-        b.batch(&[5, 2, 2]);
         a.merge(&b);
         assert_eq!(a.op_counts()[0], 3);
         assert_eq!(a.guard_counts(1), (2, 1));
         assert_eq!(a.fired_count(2), 1);
         assert_eq!(a.delay_solve_count(), 1);
-        let (batches, drains, hist) = a.batch_counts();
-        assert_eq!((batches, drains), (1, 0));
-        // 3 lanes for 2 steps, 2 lanes for 0 steps, 1 lane for 3 steps.
-        assert_eq!(&hist[1..], &[3, 0, 2]);
     }
 
     #[test]
@@ -974,7 +889,6 @@ mod tests {
         p.guard_eval(0, 0, true);
         p.loc_step(0, 1);
         p.fired(0, 0);
-        p.batch(&[4]);
         let r = ProfileReport::from_profile(&p, &labels(), "toy", 7, 1);
         assert_eq!(r.ops[0].label, "b");
         assert_eq!(r.ops.len(), 3);
@@ -982,7 +896,6 @@ mod tests {
         assert_eq!(r.guards[0].span.as_deref(), Some("m.slim:3:5"));
         assert_eq!(r.transitions.len(), 1);
         assert_eq!(r.locations, vec![ProfileEntry { label: "p.y".into(), count: 1 }]);
-        assert_eq!(r.scalar_drains, 1);
         assert_eq!(r.validate(), Vec::<String>::new());
         let text = r.to_json().to_pretty();
         let back = ProfileReport::from_json(&Json::parse(&text).unwrap()).unwrap();
@@ -993,6 +906,29 @@ mod tests {
         let r = ProfileReport::from_profile(&p, &labels(), "toy", u64::MAX, 1);
         let back = ProfileReport::from_json(&Json::parse(&r.to_json().to_compact()).unwrap());
         assert_eq!(back.unwrap().seed, u64::MAX);
+    }
+
+    #[test]
+    fn version_one_documents_still_parse() {
+        let mut p = KernelProfile::new(shape());
+        p.eval_begin();
+        p.eval_op(2);
+        p.delay_solve();
+        let r = ProfileReport::from_profile(&p, &labels(), "toy", 3, 1);
+        let Json::Obj(mut members) = r.to_json() else { panic!("a profile is an object") };
+        for (key, value) in &mut members {
+            if key == "schema_version" {
+                *value = Json::Num(1.0);
+            }
+        }
+        members.push(("batches".into(), Json::Num(1.0)));
+        members.push(("scalar_drains".into(), Json::Num(0.0)));
+        let lane = Json::obj([("lanes", Json::Num(1.0)), ("steps", Json::Num(4.0))]);
+        members.push(("lane_occupancy".into(), Json::Arr(vec![lane])));
+        let back = ProfileReport::from_json(&Json::Obj(members)).unwrap();
+        assert_eq!(back.schema_version, 1);
+        assert_eq!(back.validate(), Vec::<String>::new());
+        assert_eq!(ProfileReport { schema_version: PROFILE_SCHEMA_VERSION, ..back }, r);
     }
 
     #[test]
@@ -1036,8 +972,8 @@ mod tests {
         n.fired(0, 0);
         n.loc_step(0, 0);
         n.delay_solve();
-        n.batch(&[1, 2]);
         const { assert!(!NoopProfile::ENABLED) }
+        const { assert!(!<&mut NoopProfile>::ENABLED) }
     }
 
     #[test]
@@ -1048,11 +984,10 @@ mod tests {
             p.eval_op(op);
         }
         p.guard_eval(0, 0, true);
-        p.batch(&[3, 1]);
         let r = ProfileReport::from_profile(&p, &labels(), "toy", 1, 2);
         let text = r.render_text(5);
         assert!(text.contains("opcodes"), "{text}");
         assert!(text.contains("superinstruction"), "{text}");
-        assert!(text.contains("lane occupancy"), "{text}");
+        assert!(text.contains("guards"), "{text}");
     }
 }

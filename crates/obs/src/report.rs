@@ -941,9 +941,6 @@ mod tests {
             transitions: Vec::new(),
             locations: Vec::new(),
             delay_solves: 0,
-            batches: 0,
-            scalar_drains: 0,
-            lane_occupancy: Vec::new(),
         });
         let text = r.to_json().to_pretty();
         let back = RunReport::from_json(&Json::parse(&text).unwrap()).unwrap();

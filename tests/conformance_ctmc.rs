@@ -63,31 +63,30 @@ fn ctmc_reference(case: &Case) -> f64 {
         .probability
 }
 
-/// Runs the seeded simulator at an explicit batch lane width and asserts
-/// the estimate lands within its Chernoff half-width ε of the CTMC
-/// reference.
-fn assert_conformance_lanes(case: &Case, epsilon: f64, workers: usize, lanes: usize) {
+/// Runs the seeded simulator and asserts the estimate lands within its
+/// half-width ε of the CTMC reference.
+fn assert_conformance_with(case: &Case, epsilon: f64, workers: usize, generator: GeneratorKind) {
     let reference = ctmc_reference(case);
     let goal = Goal::expr(Expr::var(case.net.var_id(case.goal_var).unwrap()));
     let prop = TimedReach::new(goal, case.bound);
     let cfg = SimConfig::default()
         .with_accuracy(Accuracy::new(epsilon, 0.05).unwrap())
         .with_strategy(StrategyKind::Asap)
+        .with_generator(generator)
         .with_seed(0xD5A1)
-        .with_workers(workers)
-        .with_batch_lanes(lanes);
+        .with_workers(workers);
     let r = analyze(&case.net, &prop, &cfg).unwrap();
     assert!(
         (r.probability() - reference).abs() <= epsilon,
-        "{}: simulator {} vs CTMC {reference} (ε = {epsilon}, workers {workers}, lanes {lanes})",
+        "{}: {generator} simulator {} vs CTMC {reference} (ε = {epsilon}, workers {workers})",
         case.name,
         r.probability()
     );
 }
 
-/// [`assert_conformance_lanes`] at the default lane width.
+/// [`assert_conformance_with`] under the Chernoff–Hoeffding sample count.
 fn assert_conformance(case: &Case, epsilon: f64, workers: usize) {
-    assert_conformance_lanes(case, epsilon, workers, SimConfig::default().batch_lanes);
+    assert_conformance_with(case, epsilon, workers, GeneratorKind::ChernoffHoeffding);
 }
 
 #[test]
@@ -123,46 +122,18 @@ fn ctmc_reference_matches_closed_forms() {
 /// land within ε of the exact reference.
 #[test]
 fn sequential_generators_conform_on_sensor_filter() {
-    let case = &cases()[0];
-    let reference = ctmc_reference(case);
-    let goal = Goal::expr(Expr::var(case.net.var_id(case.goal_var).unwrap()));
-    let prop = TimedReach::new(goal, case.bound);
     for generator in [GeneratorKind::Gauss, GeneratorKind::ChowRobbins] {
-        let cfg = SimConfig::default()
-            .with_accuracy(Accuracy::new(0.03, 0.05).unwrap())
-            .with_strategy(StrategyKind::Asap)
-            .with_generator(generator)
-            .with_seed(0xD5A1);
-        let r = analyze(&case.net, &prop, &cfg).unwrap();
-        assert!(
-            (r.probability() - reference).abs() <= 0.03,
-            "{generator}: simulator {} vs CTMC {reference}",
-            r.probability()
-        );
+        assert_conformance_with(&cases()[0], 0.03, 1, generator);
     }
 }
 
-/// The batched SoA kernel, explicitly exercised at lane widths away from
-/// the default (including `1`, which disables batching), must conform to
-/// the same CTMC references. Lane determinism makes all widths produce
-/// the *same* estimate, so a conformance failure here isolates a batched
-/// stepping bug rather than a statistical fluke.
+/// A sequential stopping rule on four workers runs the round-robin
+/// collector, the one runner the fixed-sample tests above never reach; its
+/// estimate must conform too.
 #[test]
-fn batched_kernel_conforms_to_ctmc_on_all_untimed_models() {
+fn sequential_generator_conforms_with_parallel_workers() {
     for case in cases() {
-        for lanes in [1usize, 8, 64] {
-            assert_conformance_lanes(&case, 0.03, 1, lanes);
-        }
-    }
-}
-
-/// The batched kernel under parallel workers: each worker strides its
-/// lanes through the shared path-index space (`start + workers·j`), and
-/// the merged estimate must still conform.
-#[test]
-fn batched_kernel_conforms_with_parallel_workers() {
-    for case in cases() {
-        assert_conformance_lanes(&case, 0.03, 4, 32);
+        assert_conformance_with(&case, 0.03, 4, GeneratorKind::Gauss);
     }
 }
 
@@ -179,13 +150,5 @@ fn tight_epsilon_conformance_sequential() {
 fn tight_epsilon_conformance_parallel() {
     for case in cases() {
         assert_conformance(&case, 0.005, 4);
-    }
-}
-
-#[test]
-#[ignore = "tier-2: tight-accuracy conformance through the batched kernel"]
-fn tight_epsilon_conformance_batched() {
-    for case in cases() {
-        assert_conformance_lanes(&case, 0.005, 1, 64);
     }
 }

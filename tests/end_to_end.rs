@@ -220,14 +220,15 @@ fn input_strategy_scripted_path() {
         InputChoice::Fire { candidate: 0, delay: 1.5 },
     ]));
     let mut rng = slim_stats::rng::StdRng::seed_from_u64(0);
-    let out = gen.generate(&mut strategy, &mut rng).unwrap();
+    let out = gen.generate_with(&mut SimScratch::new(), &mut strategy, &mut rng).unwrap();
     assert_eq!(out.verdict, Verdict::Satisfied);
     assert!((out.end_time - 3.0).abs() < 1e-9, "fired at {}", out.end_time);
 
     // An aborted script surfaces as an error.
     let mut aborting = Input::new(ScriptedOracle::new([]));
     let mut rng = slim_stats::rng::StdRng::seed_from_u64(0);
-    assert!(matches!(gen.generate(&mut aborting, &mut rng), Err(SimError::InputAborted)));
+    let aborted = gen.generate_with(&mut SimScratch::new(), &mut aborting, &mut rng);
+    assert!(matches!(aborted, Err(SimError::InputAborted)));
 }
 
 /// Parallel analysis gives exactly the same sample set as sequential for

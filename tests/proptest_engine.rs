@@ -110,7 +110,7 @@ fn paths_respect_invariants() {
             let mut s1 = kind.instantiate();
             let mut rng1 = path_rng(seed, 0);
             let out1 = gen
-                .generate(s1.as_mut(), &mut rng1)
+                .generate_with(&mut SimScratch::new(), s1.as_mut(), &mut rng1)
                 .unwrap_or_else(|e| panic!("case {case}: {kind} failed: {e}"));
             assert!(out1.end_time >= -1e-12, "case {case}: {kind}: negative end time");
             assert!(out1.steps <= 20_000);
@@ -124,7 +124,7 @@ fn paths_respect_invariants() {
             // Deterministic replay.
             let mut s2 = kind.instantiate();
             let mut rng2 = path_rng(seed, 0);
-            let out2 = gen.generate(s2.as_mut(), &mut rng2).unwrap();
+            let out2 = gen.generate_with(&mut SimScratch::new(), s2.as_mut(), &mut rng2).unwrap();
             assert_eq!(out1, out2, "case {case}: {kind} not deterministic");
         }
     }

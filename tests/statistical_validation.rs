@@ -100,12 +100,15 @@ fn importance_sampling_unbiased_on_model() {
     let exact = 1.0 - (-lambda).exp();
 
     let gen = PathGenerator::new(&net, &prop, 10_000);
+    let mut scratch = SimScratch::new();
     for boost in [5.0, 20.0] {
         let mut est = WeightedEstimator::new(0.05, 0.95);
         let mut strategy = Asap;
+        let mut hooks = PathHooks { bias: boost, ..PathHooks::default() };
         for i in 0..20_000u64 {
             let mut rng = path_rng(derive_seed(4, boost as u64), i);
-            let (out, w) = gen.generate_biased(&mut strategy, &mut rng, boost).unwrap();
+            let (out, w) =
+                gen.generate_hooked(&mut scratch, &mut strategy, &mut rng, &mut hooks).unwrap();
             est.add(out.verdict.is_success(), w);
         }
         let e = est.estimate();
@@ -134,9 +137,12 @@ fn bias_one_weights_are_exactly_one() {
     let prop = TimedReach::new(goal, 100.0);
     let gen = PathGenerator::new(&net, &prop, 10_000);
     let mut strategy = Asap;
+    let mut scratch = SimScratch::new();
     for i in 0..50 {
         let mut rng = path_rng(5, i);
-        let (out, w) = gen.generate_biased(&mut strategy, &mut rng, 1.0).unwrap();
+        let (out, w) = gen
+            .generate_hooked(&mut scratch, &mut strategy, &mut rng, &mut PathHooks::default())
+            .unwrap();
         assert_eq!(out.verdict, Verdict::Satisfied);
         assert!((w - 1.0).abs() < 1e-12, "weight {w} != 1 with bias 1");
     }
