@@ -316,6 +316,11 @@ struct CompiledFlow {
     /// Variables the flow expression reads — the edge set the write-set
     /// closure in [`flow_mask_from`] walks.
     reads: Vec<VarId>,
+    /// `reads` as a bit mask, for the value-level skip of
+    /// [`run_flows_inner`] (meaningful only under
+    /// [`StepTables::flow_value_skip`], which guarantees every index is
+    /// below 64).
+    read_mask: u64,
     prog: EvalProg,
 }
 
@@ -342,14 +347,29 @@ pub struct StepTables {
     /// Rate baseline: 1.0 for clocks, 0.0 otherwise (location rates are
     /// overlaid per state).
     base_rates: Vec<f64>,
-    /// False when every location invariant is constant `true`: delay
-    /// windows are then always `[0, ∞)` and post-advance invariant
-    /// re-checks are skipped.
-    has_invariants: bool,
+    /// Processes owning a τ guard in some location, ascending: the only
+    /// ones the τ scan visits.
+    tau_procs: Vec<usize>,
+    /// Processes owning a non-trivial invariant in some location,
+    /// ascending: the only ones the delay window visits. Empty when every
+    /// invariant is constant `true` — delay windows are then always
+    /// `[0, ∞)` and post-advance invariant re-checks are skipped.
+    inv_procs: Vec<usize>,
+    /// Processes declaring a rate in some location, ascending: the only
+    /// ones a rate refresh overlays.
+    rate_procs: Vec<usize>,
     /// False when no variable can ever carry a nonzero rate (no clocks,
     /// no location rate declarations): the rate buffer is then all-zero
-    /// in every state and per-step refreshes are skipped.
+    /// in every state, and per-step refreshes and the clock loop of a
+    /// time advance are skipped.
     has_rates: bool,
+    /// The rated variables below index 64 as a bit mask: the variables a
+    /// time advance may change before it re-runs flows.
+    rated_mask: u64,
+    /// Flows re-run only when one of their reads changed value in the
+    /// triggering firing or advance (see [`run_flows_inner`]). Off under
+    /// [`CompileOptions::reference`] and with more than 64 variables.
+    flow_value_skip: bool,
     /// Flow mask for time advances: the write-set closure of the rated
     /// variables (the only ones `advance` mutates). All-ones when masking
     /// is disabled.
@@ -359,8 +379,9 @@ pub struct StepTables {
     /// [`CompileOptions::reference`] or with more than 64 variables.
     tau_reads: Vec<Vec<Option<u64>>>,
     /// False under [`CompileOptions::reference`]:
-    /// [`StepScratch::begin_path`] then leaves the scratch in full-scan
-    /// mode, rebuilding the Markovian list on every call too.
+    /// [`StepScratch::begin_path`] and [`StepScratch::begin_full_path`]
+    /// then leave the scratch in full-scan mode, rebuilding the Markovian
+    /// list on every call too.
     incremental: bool,
     /// Some location has at least [`MIN_REUSE_GUARDS`] reusable guards.
     incremental_pays: bool,
@@ -898,22 +919,29 @@ struct Incremental {
     /// A path is in progress: scans may reuse earlier results.
     active: bool,
     /// Bit `v` set ⇒ variable `v` changed value since the last τ guard
-    /// scan. Written by effects and flow re-runs whether or not a path is
-    /// active; variables from index 64 on are not tracked (networks that
-    /// large never reuse a scan).
+    /// scan (see [`StepScratch::changed_vars`]). Written by effects and
+    /// flow re-runs whether or not a path is active; variables from index
+    /// 64 on are not tracked (networks that large never reuse a scan).
     changed: u64,
     /// Per process: the location the last scan evaluated with a reusable
     /// result (its τ guards are all delay-free), or [`NO_LOC`], and which
     /// of them were enabled (bit `i` ⇒ guard `i`).
     tau: Vec<(usize, u64)>,
+    /// The Markovian list is patched across calls on this path.
+    markov_patch: bool,
     /// The Markovian list was built since the path began; later calls
     /// patch it.
     markov_built: bool,
-    /// Per process: the location its Markovian segment was built for.
-    markov_loc: Vec<usize>,
+    /// The lowest process whose location changed since the Markovian
+    /// list was last built, or [`NO_LOC`]; recorded by `apply_mut`.
+    moved: usize,
     /// Segment boundaries in the Markovian list: process `p` owns
     /// `markov_start[p]..markov_start[p + 1]`.
     markov_start: Vec<usize>,
+    /// Running total rate at each segment start: `markov_sum[p]` is the
+    /// in-order sum of the rates before `markov_start[p]`, so a patch
+    /// continues the same left fold a full rebuild performs.
+    markov_sum: Vec<f64>,
 }
 
 /// Reusable per-worker workspace for the compiled kernel.
@@ -1001,41 +1029,56 @@ impl StepScratch {
         self.markov_total
     }
 
+    /// Variables that may have changed value since the last τ guard scan
+    /// ([`Network::guarded_candidates_into`] and its variants) or the
+    /// last path begin, whichever came later: bit `v` set ⇒ variable `v`.
+    /// Effects and flow re-runs set a bit only when the stored bits
+    /// differ; a time advance sets the rated variables' bits. The word
+    /// over-reports (a variable set back to its old value stays marked)
+    /// but never misses a change to a variable below index 64; variables
+    /// from index 64 on are never marked.
+    pub fn changed_vars(&self) -> u64 {
+        self.inc.changed
+    }
+
     /// Begins a path: switches the scratch to incremental enabling for
     /// `t`'s network, forgetting everything cached for earlier paths.
     ///
-    /// Until the next `begin_path`, the τ guard scan of
+    /// Until the next begin, the τ guard scan of
     /// [`Network::guarded_candidates_into`] skips a process whose
     /// location is unchanged since the previous scan, whose τ guards are
     /// all delay-free, and none of whose read variables changed value; it
     /// re-emits the previous scan's enabled set instead. The Markovian
-    /// list is patched in place for processes that moved. Both are exact
-    /// only while every change to the state goes through this scratch's
-    /// [`Network::advance_mut`] and [`Network::apply_mut`] family, so call
-    /// this whenever the state is (re)loaded. A scratch on which no path
-    /// was begun, or which was last begun with
-    /// [`StepScratch::begin_full_path`], scans in full, as does one begun
-    /// under tables compiled with [`CompileOptions::reference`]. With
-    /// more than 64 variables only the Markovian list is patched.
+    /// list is patched in place from the lowest process that moved. Both
+    /// are exact only while every change to the state goes through this
+    /// scratch's [`Network::advance_mut`] and [`Network::apply_mut`]
+    /// family, so call this (or [`StepScratch::begin_full_path`])
+    /// whenever the state is (re)loaded. A scratch on which no path was
+    /// begun scans in full and rebuilds the Markovian list on every call,
+    /// as does one begun under tables compiled with
+    /// [`CompileOptions::reference`]. With more than 64 variables only
+    /// the Markovian list is patched.
     pub fn begin_path(&mut self, t: &StepTables) {
+        self.begin_full_path(t);
         let n = t.tau.len();
         let inc = &mut self.inc;
         inc.active = t.incremental;
-        inc.changed = 0;
-        inc.markov_built = false;
-        if inc.tau.len() != n {
-            inc.markov_loc.resize(n, NO_LOC);
-            inc.markov_start.resize(n + 1, 0);
-            inc.tau.resize(n, (NO_LOC, 0));
-        }
-        inc.tau.fill((NO_LOC, 0));
+        inc.tau.clear();
+        inc.tau.resize(n, (NO_LOC, 0));
     }
 
-    /// Begins a path in full-scan mode: every later scan evaluates every
-    /// guard and rebuilds the Markovian list, as if no path had ever been
-    /// begun on this scratch.
-    pub fn begin_full_path(&mut self) {
-        self.inc.active = false;
+    /// Begins a path without guard-scan reuse: every later scan evaluates
+    /// every guard. The Markovian list is still patched from the lowest
+    /// process that moved (unless `t` was compiled with
+    /// [`CompileOptions::reference`]); see [`StepScratch::begin_path`]
+    /// for the contract.
+    pub fn begin_full_path(&mut self, t: &StepTables) {
+        let inc = &mut self.inc;
+        inc.active = false;
+        inc.changed = 0;
+        inc.markov_patch = t.incremental;
+        inc.markov_built = false;
+        inc.moved = NO_LOC;
     }
 }
 
@@ -1201,24 +1244,26 @@ impl CompileOptions {
 /// runs a third faster.
 const MIN_REUSE_GUARDS: usize = 4;
 
+/// `vars` as a bit mask (bit `v` ⇒ variable `v`), or `None` when one of
+/// them has index 64 or more and so cannot be tracked by the scratch's
+/// change word.
+fn var_mask(vars: impl IntoIterator<Item = VarId>) -> Option<u64> {
+    vars.into_iter().try_fold(0u64, |m, v| (v.0 < 64).then(|| m | 1 << v.0))
+}
+
 /// Read mask of a `[proc][loc]` τ guard list for incremental enabling:
 /// the union of the guards' read sets when every guard is
 /// [`GuardCode::DelayFree`] (its truth is then a pure function of the
-/// variables it reads) and there are at most 64 of them. `None` means
-/// "evaluate in full". The caller guarantees every variable index is
-/// below 64.
+/// variables it reads), there are at most 64 of them and they read only
+/// variables below index 64. `None` means "evaluate in full".
 fn tau_read_mask(cgs: &[CompiledGuarded]) -> Option<u64> {
     if cgs.len() > 64 {
         return None;
     }
-    let mut mask = 0u64;
-    for cg in cgs {
+    cgs.iter().try_fold(0u64, |mask, cg| {
         let GuardCode::DelayFree(prog) = &cg.guard else { return None };
-        for v in prog.ops.iter().filter_map(solve_op_var) {
-            mask |= 1 << v.0;
-        }
-    }
-    Some(mask)
+        Some(mask | var_mask(prog.ops.iter().filter_map(solve_op_var))?)
+    })
 }
 
 fn compile_guard(e: &Expr, net: &Network, optimize: bool) -> GuardCode {
@@ -1754,7 +1799,7 @@ impl Network {
         let n_procs = self.automata().len();
         let mut tau = Vec::with_capacity(n_procs);
         let mut markov = Vec::with_capacity(n_procs);
-        let mut invariants = Vec::with_capacity(n_procs);
+        let mut invariants: Vec<Vec<Option<GuardCode>>> = Vec::with_capacity(n_procs);
         let mut trans: Vec<Vec<CompiledTrans>> = Vec::with_capacity(n_procs);
         for a in self.automata() {
             let n_locs = a.locations.len();
@@ -1840,19 +1885,23 @@ impl Network {
             sync.push(SyncTable { action, parts });
         }
 
+        let n_vars = self.vars().len();
         let flows: Vec<CompiledFlow> = self
             .flows()
             .iter()
-            .map(|f| CompiledFlow {
-                target: f.target,
-                ty: self.ty_of(f.target),
-                name: self.name_of(f.target).to_string(),
-                reads: f.expr.vars(),
-                prog: compile_prog(&f.expr, optimize),
+            .map(|f| {
+                let reads = f.expr.vars();
+                CompiledFlow {
+                    target: f.target,
+                    ty: self.ty_of(f.target),
+                    name: self.name_of(f.target).to_string(),
+                    read_mask: var_mask(reads.iter().copied()).unwrap_or(u64::MAX),
+                    reads,
+                    prog: compile_prog(&f.expr, optimize),
+                }
             })
             .collect();
 
-        let n_vars = self.vars().len();
         let tau_reads: Vec<Vec<Option<u64>>> = tau
             .iter()
             .map(|by_loc| {
@@ -1885,8 +1934,16 @@ impl Network {
         let base_rates =
             self.vars().iter().map(|v| if v.ty == VarType::Clock { 1.0 } else { 0.0 }).collect();
 
-        let has_invariants = invariants.iter().flatten().any(Option::is_some);
+        let procs_where = |owns: &dyn Fn(usize) -> bool| -> Vec<usize> {
+            (0..n_procs).filter(|&p| owns(p)).collect()
+        };
+        let tau_procs = procs_where(&|p| tau[p].iter().any(|cgs| !cgs.is_empty()));
+        let inv_procs = procs_where(&|p| invariants[p].iter().any(Option::is_some));
+        let rate_procs =
+            procs_where(&|p| self.automata()[p].locations.iter().any(|l| !l.rates.is_empty()));
         let has_rates = rated.iter().any(|&r| r);
+        let rated_mask = var_mask((0..n_vars.min(64)).filter(|&v| rated[v]).map(VarId))
+            .expect("indices below 64");
         let tables = StepTables {
             tau,
             markov,
@@ -1895,8 +1952,12 @@ impl Network {
             trans,
             flows,
             base_rates,
-            has_invariants,
+            tau_procs,
+            inv_procs,
+            rate_procs,
             has_rates,
+            rated_mask,
+            flow_value_skip: optimize && n_vars <= 64,
             advance_flow_mask,
             tau_reads,
             incremental: optimize,
@@ -2678,8 +2739,9 @@ impl Network {
         }
         rates.clear();
         rates.extend_from_slice(&t.base_rates);
-        for (p, a) in self.automata().iter().enumerate() {
-            for &(v, r) in &a.locations[state.locs[p].0].rates {
+        let automata = self.automata();
+        for &p in &t.rate_procs {
+            for &(v, r) in &automata[p].locations[state.locs[p].0].rates {
                 rates[v.0] = r;
             }
         }
@@ -2744,13 +2806,13 @@ impl Network {
     ) -> Result<(), EvalError> {
         prof.delay_solve();
         out.set_all();
-        if !t.has_invariants {
+        if t.inv_procs.is_empty() {
             // The general path below reduces to `prefix_from_zero` on
             // `[0, ∞)`, which reproduces `set_all` bit-for-bit.
             return Ok(());
         }
-        for (p, by_loc) in t.invariants.iter().enumerate() {
-            let Some(code) = &by_loc[state.locs[p].0] else { continue };
+        for &p in &t.inv_procs {
+            let Some(code) = &t.invariants[p][state.locs[p].0] else { continue };
             eval_guard(code, &state.nu, &s.rates, &mut s.solver, &mut s.guard_result, prof)?;
             let sat = &s.guard_result;
             let holds_now =
@@ -2841,7 +2903,8 @@ impl Network {
         // guards would re-evaluate to the same truths, so the last
         // scan's enabled set is re-emitted in guard order.
         let reuse = s.inc.active;
-        for (p, by_loc) in t.tau.iter().enumerate() {
+        for &p in &t.tau_procs {
+            let by_loc = &t.tau[p];
             let loc = state.locs[p].0;
             let reads = if reuse { t.tau_reads[p][loc] } else { None };
             if let Some(mask) = reads {
@@ -2906,10 +2969,9 @@ impl Network {
                 s.inc.tau[p] = (if reads.is_some() { loc } else { NO_LOC }, enabled_bits);
             }
         }
-        if reuse {
-            // Every process's cache now matches the current valuation.
-            s.inc.changed = 0;
-        }
+        // Every process's cache now matches the current valuation; the
+        // engine's goal check reads the word before the next scan.
+        s.inc.changed = 0;
 
         // Synchronizing actions: every participant must join.
         for table in &t.sync {
@@ -3009,41 +3071,44 @@ impl Network {
     /// scratch Markovian list (read it back via
     /// [`StepScratch::markovian`]) in the legacy enumeration order.
     ///
-    /// On a begun path (see [`StepScratch::begin_path`]) the list is
-    /// patched in place: segments before the first process that moved
-    /// since the last call are kept, and a call where no process moved
-    /// keeps the list and its total. The list, its order and its total
-    /// are the same as a full rebuild's.
+    /// On a begun path (see [`StepScratch::begin_path`] and
+    /// [`StepScratch::begin_full_path`]) the list is patched in place:
+    /// segments before the lowest process that moved since the last call
+    /// are kept, the total continues from the running sum stored at that
+    /// segment's start, and a call where no process moved keeps the list
+    /// and its total. The list, its order and its total are the same as a
+    /// full rebuild's: the total is the same left fold over the list.
     pub fn markovian_candidates_into(&self, t: &StepTables, s: &mut StepScratch, state: &NetState) {
         let inc = &mut s.inc;
-        // Rebuild from the first process that moved: the segments before
-        // it are unchanged. Without a begun path that is process 0.
-        let first = if !inc.active {
+        let n = t.markov.len();
+        let first = if !inc.markov_patch || !inc.markov_built {
             0
-        } else if !inc.markov_built {
-            inc.markov_built = true;
-            0
+        } else if inc.moved == NO_LOC {
+            return;
         } else {
-            match (0..t.markov.len()).find(|&p| inc.markov_loc[p] != state.locs[p].0) {
-                Some(p) => p,
-                None => return,
-            }
+            inc.moved
         };
-        s.markov.truncate(if inc.active { inc.markov_start[first] } else { 0 });
+        inc.markov_built = inc.markov_patch;
+        inc.moved = NO_LOC;
+        if inc.markov_start.len() != n + 1 {
+            inc.markov_start.resize(n + 1, 0);
+            inc.markov_sum.resize(n + 1, 0.0);
+        }
+        // `-0.0` is the neutral element `f64::sum` folds from, so a full
+        // rebuild's total is bit-identical to `iter().sum()`.
+        let mut total = if first == 0 { -0.0 } else { inc.markov_sum[first] };
+        s.markov.truncate(inc.markov_start[first]);
         for (p, by_loc) in t.markov.iter().enumerate().skip(first) {
-            let loc = state.locs[p].0;
-            if inc.active {
-                inc.markov_start[p] = s.markov.len();
-                inc.markov_loc[p] = loc;
-            }
-            for &(t_id, rate) in &by_loc[loc] {
+            inc.markov_start[p] = s.markov.len();
+            inc.markov_sum[p] = total;
+            for &(t_id, rate) in &by_loc[state.locs[p].0] {
                 s.markov.push((ProcId(p), t_id, rate));
+                total += rate;
             }
         }
-        if inc.active {
-            inc.markov_start[t.markov.len()] = s.markov.len();
-        }
-        s.markov_total = s.markov.iter().map(|&(_, _, r)| r).sum();
+        inc.markov_start[n] = s.markov.len();
+        inc.markov_sum[n] = total;
+        s.markov_total = total;
     }
 
     /// In-place [`Network::advance`]: advances `state` by `d` against the
@@ -3111,14 +3176,15 @@ impl Network {
         // A retreat restores the backup: every variable a read mask can
         // hold that differs from it was marked on the way, so the marks
         // stay a superset of the changes.
-        if t.has_invariants {
+        let has_invariants = !t.inv_procs.is_empty();
+        if has_invariants {
             s.backup.copy_from(state);
         }
         advance_unchecked_mut(t, &s.rates, &mut s.vals, &mut s.inc.changed, state, d, prof)?;
         // Floating-point robustness: retreat from invariant-boundary
         // overshoot exactly like the legacy `advance`. Invariant-free
         // models have nothing to overshoot.
-        if t.has_invariants && d > 0.0 && self.invariants_violated(t, s, state, prof) {
+        if has_invariants && d > 0.0 && self.invariants_violated(t, s, state, prof) {
             for backoff in [1e-12, 1e-9] {
                 state.copy_from(&s.backup);
                 let d = d * (1.0 - backoff);
@@ -3217,13 +3283,20 @@ impl Network {
                 }
                 s.writes.push((eff.var, v));
             }
-            state.locs[p.0] = ct.to;
+            if state.locs[p.0] != ct.to {
+                state.locs[p.0] = ct.to;
+                s.inc.moved = s.inc.moved.min(p.0);
+            }
         }
+        // What this firing changed: the flows' value-level trigger set.
+        let mut fired = 0u64;
         for i in 0..s.writes.len() {
             let (var, v) = s.writes[i];
-            set_tracked(&mut state.nu, var, v, &mut s.inc.changed)?;
+            set_tracked(&mut state.nu, var, v, &mut fired)?;
         }
-        run_flows_inner(t, flow_mask, &mut s.vals, &mut state.nu, &mut s.inc.changed, prof)
+        let res = run_flows_inner(t, flow_mask, &mut s.vals, &mut state.nu, &mut fired, prof);
+        s.inc.changed |= fired;
+        res
     }
 
     /// Compiles a standalone Boolean predicate (a property goal) for
@@ -3238,9 +3311,14 @@ impl Network {
     /// predicate used by differential testing).
     pub fn compile_predicate_with(&self, e: &Expr, opts: &CompileOptions) -> CompiledPredicate {
         let rated = rated_vars(self);
-        CompiledPredicate {
-            code: specialize_delay_free(compile_guard(e, self, opts.optimize), &rated),
-        }
+        let code = specialize_delay_free(compile_guard(e, self, opts.optimize), &rated);
+        let reads = match &code {
+            _ if !opts.optimize => None,
+            GuardCode::Static(_) => Some(0),
+            GuardCode::DelayFree(prog) => var_mask(prog.ops.iter().filter_map(solve_op_var)),
+            GuardCode::Prog(_) | GuardCode::Fallback(_) => None,
+        };
+        CompiledPredicate { code, reads }
     }
 
     /// Allocation-free equivalent of solving `pred` over the delay axis in
@@ -3296,9 +3374,23 @@ impl Network {
 #[derive(Debug, Clone)]
 pub struct CompiledPredicate {
     code: GuardCode,
+    /// See [`CompiledPredicate::read_mask`].
+    reads: Option<u64>,
 }
 
 impl CompiledPredicate {
+    /// The variables the predicate's window depends on, as a bit mask,
+    /// when the window is a pure function of them: the predicate is
+    /// delay-free (or constant) and reads only variables below index 64.
+    /// `None` for a predicate over a clock or rated variable, one that
+    /// reads a higher variable, and any predicate compiled with
+    /// [`CompileOptions::reference`]. A caller may reuse an earlier window
+    /// while no variable in the mask has changed (see
+    /// [`StepScratch::changed_vars`]).
+    pub fn read_mask(&self) -> Option<u64> {
+        self.reads
+    }
+
     /// Verifies the predicate's compiled program (no-op for static and
     /// fallback forms); `n_vars` bounds variable references.
     ///
@@ -3327,14 +3419,14 @@ fn advance_unchecked_mut<P: ProfileHooks>(
     d: f64,
     prof: &mut P,
 ) -> Result<(), EvalError> {
-    // Rated variables are never read by a delay-free guard, so no read
-    // mask contains them: only the flow re-runs below record changes.
     let mut moved = false;
-    for (i, r) in rates.iter().enumerate() {
-        if *r != 0.0 {
-            let cur = state.nu.get(VarId(i))?.as_real()?;
-            state.nu.set(VarId(i), Value::Real(cur + r * d))?;
-            moved = true;
+    if t.has_rates {
+        for (i, r) in rates.iter().enumerate() {
+            if *r != 0.0 {
+                let cur = state.nu.get(VarId(i))?.as_real()?;
+                state.nu.set(VarId(i), Value::Real(cur + r * d))?;
+                moved = true;
+            }
         }
     }
     state.time += d;
@@ -3344,15 +3436,25 @@ fn advance_unchecked_mut<P: ProfileHooks>(
         // it already established; skip the re-run.
         return Ok(());
     }
-    run_flows_inner(t, t.advance_flow_mask, vals, &mut state.nu, changed, prof)
+    // Every rated variable counts as changed: the flows reading one
+    // re-run, and the word stays a superset of the changes.
+    let mut advanced = t.rated_mask;
+    let res = run_flows_inner(t, t.advance_flow_mask, vals, &mut state.nu, &mut advanced, prof);
+    *changed |= advanced;
+    res
 }
 
 /// Re-establishes flows in definition (topological) order. Bit `i` of
 /// `mask` clear means flow `i`'s reads are untouched by the triggering
 /// writes (including transitively, via earlier flows), so it would
 /// re-evaluate to the value it already holds — skip it. An all-ones mask
-/// runs everything, which is also the fallback for >64 flows. Targets
-/// whose value actually changes are marked in `changed`.
+/// runs everything, which is also the fallback for >64 flows.
+///
+/// `changed` holds the variables the trigger changed in value; targets
+/// whose value actually changes are added to it as the flows run. Under
+/// [`StepTables::flow_value_skip`] a flow none of whose reads is in
+/// `changed` is skipped too: its inputs hold the bits they held when it
+/// last ran, so it would store the same value.
 fn run_flows_inner<P: ProfileHooks>(
     t: &StepTables,
     mask: u64,
@@ -3363,6 +3465,9 @@ fn run_flows_inner<P: ProfileHooks>(
 ) -> Result<(), EvalError> {
     for (i, f) in t.flows.iter().enumerate() {
         if mask != u64::MAX && (mask >> i) & 1 == 0 {
+            continue;
+        }
+        if t.flow_value_skip && f.read_mask & *changed == 0 {
             continue;
         }
         let v = run_eval(&f.prog, nu, vals, prof)?;
@@ -4716,7 +4821,7 @@ mod tests {
             let mut prof = EvalCounter::default();
             s.begin_path(&tables);
             if !begin {
-                s.begin_full_path();
+                s.begin_full_path(&tables);
             }
             for _ in 0..steps {
                 scan_and_check(&net, &tables, &mut s, &st, &mut prof);
@@ -4773,6 +4878,254 @@ mod tests {
             };
             net.apply_mut(&tables, &mut s, &mut st, &parts).unwrap();
         }
+    }
+
+    /// A sync firing that moves two processes patches the Markovian list
+    /// from the lower of them; a self-loop does not count as a move.
+    #[test]
+    fn markovian_patch_starts_at_the_lowest_moved_process() {
+        // Every process fails (`t0`, Markovian) into `l1`; there q and s
+        // synchronize on `go` back to `l0`, p and r loop (`t1`).
+        let mut nb = NetworkBuilder::new();
+        let go = nb.action("go");
+        for name in ["p", "q", "r", "s"] {
+            let mut a = AutomatonBuilder::new(name);
+            let (l0, l1) = (a.location("l0"), a.location("l1"));
+            a.markovian(l0, 1.0, [], l1);
+            if name == "q" || name == "s" {
+                a.guarded(l1, go, Expr::TRUE, [], l0);
+            } else {
+                a.guarded(l1, ActionId::TAU, Expr::TRUE, [], l1);
+            }
+            nb.add_automaton(a);
+        }
+        let net = nb.build().unwrap();
+        let tables = net.compile();
+        let mut s = StepScratch::new();
+        let mut st = net.initial_state().unwrap();
+        let mut prof = EvalCounter::default();
+        let (t0, t1) = (TransId(0), TransId(1));
+        s.begin_path(&tables);
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!(s.inc.moved, NO_LOC);
+        for p in [1, 3] {
+            net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(p), t0)]).unwrap();
+            assert_eq!(s.inc.moved, p);
+            scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        }
+        net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(1), t1), (ProcId(3), t1)]).unwrap();
+        assert_eq!(s.inc.moved, 1, "q and s moved: the patch starts at q");
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        assert_eq!(s.inc.moved, NO_LOC, "the build consumes the mark");
+        net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(0), t0)]).unwrap();
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(0), t1)]).unwrap();
+        assert_eq!(s.inc.moved, NO_LOC, "a self-loop moves nothing");
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+        net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(3), t0)]).unwrap();
+        net.apply_mut(&tables, &mut s, &mut st, &[(ProcId(2), t0)]).unwrap();
+        assert_eq!(s.inc.moved, 2, "two firings between builds: the lower mover");
+        scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+    }
+
+    /// A path begun without guard reuse (as the engine begins paths on a
+    /// network where [`StepTables::incremental_pays`] is false) still
+    /// patches the Markovian list, bit-identical to a full rebuild, list
+    /// and total; the reference tables rebuild it on every call.
+    #[test]
+    fn markovian_patch_runs_on_full_scan_paths() {
+        // Voting-shaped: three channels fail at distinct rates, a voter
+        // fails once two have failed.
+        let mut nb = NetworkBuilder::new();
+        let oks: Vec<VarId> =
+            (0..3).map(|i| nb.var(format!("c{i}.ok"), VarType::Bool, Value::Bool(true))).collect();
+        for (i, &ok) in oks.iter().enumerate() {
+            let mut c = AutomatonBuilder::new(format!("c{i}"));
+            let (up, down) = (c.location("up"), c.location("down"));
+            c.markovian(up, 0.1 + 0.3 * i as f64, [Effect::assign(ok, Expr::bool(false))], down);
+            c.markovian(down, 0.7, [Effect::assign(ok, Expr::bool(true))], up);
+            nb.add_automaton(c);
+        }
+        let mut v = AutomatonBuilder::new("voter");
+        let (fine, failed) = (v.location("fine"), v.location("failed"));
+        let two_down = Expr::var(oks[0])
+            .not()
+            .and(Expr::var(oks[1]).not())
+            .or(Expr::var(oks[2]).not().and(Expr::var(oks[0]).not()));
+        v.guarded(fine, ActionId::TAU, two_down, [], failed);
+        nb.add_automaton(v);
+        let net = nb.build().unwrap();
+        for opts in [CompileOptions::default(), CompileOptions::reference()] {
+            let tables = net.compile_with(&opts);
+            assert!(!tables.incremental_pays());
+            let mut s = StepScratch::new();
+            let mut prof = EvalCounter::default();
+            let mut seed = 0x5107_u64;
+            for _path in 0..4 {
+                let mut st = net.initial_state().unwrap();
+                s.begin_full_path(&tables);
+                assert_eq!(s.inc.markov_patch, opts.optimize);
+                for _ in 0..60 {
+                    scan_and_check(&net, &tables, &mut s, &st, &mut prof);
+                    let mut full = StepScratch::new();
+                    net.markovian_candidates_into(&tables, &mut full, &st);
+                    assert_eq!(full.markovian(), s.markovian());
+                    assert_eq!(full.markovian_total().to_bits(), s.markovian_total().to_bits());
+                    let markov = s.markovian().to_vec();
+                    let cands = s.candidates().to_vec();
+                    let n = markov.len() + cands.len();
+                    if n == 0 {
+                        break;
+                    }
+                    let pick = lcg(&mut seed) as usize % n;
+                    let parts = match markov.get(pick) {
+                        Some(&(p, t, _)) => vec![(p, t)],
+                        None => cands[pick - markov.len()].parts.clone(),
+                    };
+                    net.apply_mut(&tables, &mut s, &mut st, &parts).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Counts the bytecode programs run (effects, flows, guards).
+    #[derive(Default)]
+    struct ProgCounter(u64);
+
+    impl ProfileHooks for ProgCounter {
+        const ENABLED: bool = true;
+
+        fn eval_begin(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    /// Fires `parts` on both the optimized and the reference tables and
+    /// the legacy `apply`, requiring the same successor state; returns the
+    /// programs the optimized kernel ran and its change word.
+    fn fire_and_check(
+        net: &Network,
+        (opt, reference): (&StepTables, &StepTables),
+        st: &mut NetState,
+        parts: &[(ProcId, TransId)],
+    ) -> (u64, u64) {
+        let legacy = net.apply(
+            st,
+            &crate::network::GlobalTransition { action: ActionId::TAU, parts: parts.to_vec() },
+        );
+        let mut full = st.clone();
+        net.apply_mut(reference, &mut StepScratch::new(), &mut full, parts).unwrap();
+        let mut s = StepScratch::new();
+        s.begin_path(opt);
+        let mut progs = ProgCounter::default();
+        net.apply_mut_prof(opt, &mut s, st, parts, &mut progs).unwrap();
+        assert_eq!(*st, full, "optimized apply diverged from the reference tables");
+        assert_eq!(*st, legacy.unwrap(), "optimized apply diverged from the legacy apply");
+        (progs.0, s.changed_vars())
+    }
+
+    /// Flow `hi := n >= 2` feeds flow `lo := !hi`. A firing that moves
+    /// `n` without moving `hi` re-runs `hi` but not `lo`; once `hi`
+    /// changes, `lo` re-runs too. An effect that stores the value `n`
+    /// already holds re-runs neither and marks nothing.
+    #[test]
+    fn flows_rerun_only_when_a_read_changed_value() {
+        let mut nb = NetworkBuilder::new();
+        let n = nb.var("n", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+        let hi = nb.var("hi", VarType::Bool, Value::Bool(false));
+        let lo = nb.var("lo", VarType::Bool, Value::Bool(true));
+        nb.flow(hi, Expr::var(n).ge(Expr::int(2)));
+        nb.flow(lo, Expr::var(hi).not());
+        let mut w = AutomatonBuilder::new("w");
+        let w0 = w.location("w0");
+        w.guarded(w0, ActionId::TAU, Expr::TRUE, [Effect::assign(n, Expr::var(n))], w0);
+        w.guarded(
+            w0,
+            ActionId::TAU,
+            Expr::TRUE,
+            [Effect::assign(n, Expr::var(n).add(Expr::int(1)))],
+            w0,
+        );
+        nb.add_automaton(w);
+        let net = nb.build().unwrap();
+        let tables = (&net.compile(), &net.compile_with(&CompileOptions::reference()));
+        assert!(tables.0.flow_value_skip && !tables.1.flow_value_skip);
+        let bit = |v: VarId| 1u64 << v.0;
+        let (same, bump) = ([(ProcId(0), TransId(0))], [(ProcId(0), TransId(1))]);
+        let mut st = net.initial_state().unwrap();
+
+        // n := n: the effect runs, no flow does, nothing is marked.
+        assert_eq!(fire_and_check(&net, tables, &mut st, &same), (1, 0));
+        // n: 0 → 1, hi stays false: the effect and `hi` run, `lo` not.
+        assert_eq!(fire_and_check(&net, tables, &mut st, &bump), (2, bit(n)));
+        // n: 1 → 2, hi becomes true: the effect and both flows run.
+        assert_eq!(fire_and_check(&net, tables, &mut st, &bump), (3, bit(n) | bit(hi) | bit(lo)));
+        // n: 2 → 3, hi stays true: `lo` is skipped again.
+        assert_eq!(fire_and_check(&net, tables, &mut st, &bump), (2, bit(n)));
+        assert_eq!(st.nu.get(lo).unwrap(), Value::Bool(false));
+    }
+
+    /// With more than 64 variables the value-level flow skip is off (the
+    /// change word cannot hold every read): every flow the write-set mask
+    /// selects re-runs, and the states stay identical to the legacy and
+    /// reference kernels.
+    #[test]
+    fn flows_over_64_variables_rerun_by_write_set() {
+        let mut nb = NetworkBuilder::new();
+        let n = nb.var("n", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+        let hi = nb.var("hi", VarType::Bool, Value::Bool(false));
+        let pad: Vec<VarId> = (0..70)
+            .map(|i| nb.var(format!("pad{i}"), VarType::Int { lo: 0, hi: 1 }, Value::Int(0)))
+            .collect();
+        nb.flow(hi, Expr::var(n).ge(Expr::int(2)).or(Expr::var(pad[66]).eq(Expr::int(1))));
+        let mut w = AutomatonBuilder::new("w");
+        let w0 = w.location("w0");
+        w.guarded(w0, ActionId::TAU, Expr::TRUE, [Effect::assign(n, Expr::var(n))], w0);
+        w.guarded(w0, ActionId::TAU, Expr::TRUE, [Effect::assign(pad[66], Expr::int(1))], w0);
+        nb.add_automaton(w);
+        let net = nb.build().unwrap();
+        let tables = (&net.compile(), &net.compile_with(&CompileOptions::reference()));
+        assert!(!tables.0.flow_value_skip);
+        let mut st = net.initial_state().unwrap();
+        // n := n re-runs the flow (write set), though nothing changed.
+        assert_eq!(fire_and_check(&net, tables, &mut st, &[(ProcId(0), TransId(0))]), (2, 0));
+        // pad66 := 1 changes `hi`; index 68 is not tracked, `hi` is.
+        let (progs, changed) = fire_and_check(&net, tables, &mut st, &[(ProcId(0), TransId(1))]);
+        assert_eq!((progs, changed), (2, 1 << hi.0));
+        assert_eq!(st.nu.get(hi).unwrap(), Value::Bool(true));
+    }
+
+    /// The per-process lists name exactly the processes owning τ guards,
+    /// invariants and location rates.
+    #[test]
+    fn process_lists_cover_their_owners() {
+        let mut nb = NetworkBuilder::new();
+        let c = nb.var("c", VarType::Clock, Value::Real(0.0));
+        let x = nb.var("x", VarType::Continuous, Value::Real(0.0));
+        let mut a = AutomatonBuilder::new("markov-only");
+        let (a0, a1) = (a.location("a0"), a.location("a1"));
+        a.markovian(a0, 1.0, [], a1);
+        nb.add_automaton(a);
+        let mut b = AutomatonBuilder::new("tau-and-invariant");
+        let b0 = b.location_with("b0", Expr::var(c).le(Expr::real(3.0)), []);
+        b.guarded(b0, ActionId::TAU, Expr::var(c).ge(Expr::real(1.0)), [], b0);
+        nb.add_automaton(b);
+        let mut r = AutomatonBuilder::new("rated");
+        r.location_with("r0", Expr::TRUE, [(x, 2.0)]);
+        nb.add_automaton(r);
+        let net = nb.build().unwrap();
+        let t = net.compile();
+        assert_eq!((t.tau_procs.as_slice(), t.inv_procs.as_slice()), (&[1][..], &[1][..]));
+        assert_eq!(t.rate_procs, vec![2]);
+        assert_eq!(t.rated_mask, 0b11);
+        let mut s = StepScratch::new();
+        let st = net.initial_state().unwrap();
+        let mut w = IntervalSet::empty();
+        net.delay_window_into(&t, &mut s, &st, &mut w).unwrap();
+        assert_eq!(w, net.delay_window(&st).unwrap());
+        assert_eq!(s.rates, net.active_rates(&st));
+        net.guarded_candidates_rated(&t, &mut s, &st).unwrap();
+        assert_cands_eq(&net.guarded_candidates(&st).unwrap(), s.candidates());
     }
 
     /// A fused conjunction tail over a clock (`b && c >= 5`) is not

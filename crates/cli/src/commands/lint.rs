@@ -66,7 +66,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         let text =
             std::fs::read_to_string(target).map_err(|e| format!("cannot read `{target}`: {e}"))?;
         let src = SourceFile::new(target, &text);
-        let model = parse(&text).map_err(|e| format!("{target}: {e}"))?;
+        let model = parse(&text).map_err(|e| format!("{target}:{e}"))?;
         let front = cfg.apply(analyze_model(&model));
         let front_clean = !has_errors(&front);
         all.extend(front);
@@ -90,7 +90,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             if let Some((ty, im)) = root {
                 let name = args.opt("name", "root");
                 let net =
-                    lower(&model, &ty, &im, name).map_err(|e| format!("{target}: {e}"))?.network;
+                    lower(&model, &ty, &im, name).map_err(|e| format!("{target}:{e}"))?.network;
                 all.extend(lint_network(&net, &cfg));
                 compiled_target = Some(net);
             } else if !args.has_flag("quiet") {

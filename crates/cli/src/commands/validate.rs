@@ -9,7 +9,7 @@ use slim_lint::{error_count, render_text_all, SourceFile};
 pub fn run(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("expected a .slim file")?;
     let src = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let model = parse(&src).map_err(|e| format!("{path}: {e}"))?;
+    let model = parse(&src).map_err(|e| format!("{path}:{e}"))?;
     println!(
         "parsed `{path}`: {} types, {} implementations, {} error models, {} injections",
         model.types.len(),
@@ -33,7 +33,7 @@ pub fn run(args: &Args) -> Result<(), String> {
             .split_once('.')
             .ok_or_else(|| format!("--root must be Type.Impl, got `{root}`"))?;
         let name = args.opt("name", "root");
-        let net = lower(&model, ty, im, name).map_err(|e| format!("{path}: {e}"))?.network;
+        let net = lower(&model, ty, im, name).map_err(|e| format!("{path}:{e}"))?.network;
         println!(
             "lowering OK: {} automata, {} variables, {} actions, {} flows",
             net.automata().len(),

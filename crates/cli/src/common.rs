@@ -63,13 +63,13 @@ pub fn load_network_spanned(args: &Args) -> Result<(Network, SpanTable), String>
         path => {
             let src =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-            let model = parse(&src).map_err(|e| format!("{path}: {e}"))?;
+            let model = parse(&src).map_err(|e| format!("{path}:{e}"))?;
             let root = args.required("root")?;
             let (ty, im) = root
                 .split_once('.')
                 .ok_or_else(|| format!("--root must be Type.Impl, got `{root}`"))?;
             let name = args.opt("name", "root");
-            let lowered = lower(&model, ty, im, name).map_err(|e| format!("{path}: {e}"))?;
+            let lowered = lower(&model, ty, im, name).map_err(|e| format!("{path}:{e}"))?;
             let spans = lowered
                 .transition_spans
                 .iter()

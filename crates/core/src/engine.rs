@@ -13,7 +13,7 @@
 
 use crate::error::SimError;
 use crate::obs::PathDetail;
-use crate::property::{CompiledGoal, GoalPool, TimedReach};
+use crate::property::{GoalPool, StepGoal, TimedReach};
 use crate::strategy::{Decision, ScheduledCandidate, StepView, Strategy};
 use crate::trace::PathTracer;
 use crate::verdict::{PathOutcome, Verdict};
@@ -30,7 +30,7 @@ use slim_stats::rng::{exponential_from_uniform, StdRng};
 /// Generates sample paths for one (network, property) pair.
 ///
 /// Construction compiles the network into [`StepTables`] and the property
-/// into [`CompiledGoal`]s once; every generated path then runs on the
+/// into [`StepGoal`]s once; every generated path then runs on the
 /// allocation-free stepping kernel. Paths are generated one at a time,
 /// either plainly ([`Self::generate_with`]) or with a [`PathHooks`]
 /// bundle attached ([`Self::generate_hooked`]). Reusing one [`SimScratch`]
@@ -45,8 +45,8 @@ pub struct PathGenerator<'a> {
     /// exact cap does not affect outcomes (see docs/semantics.md).
     margin: f64,
     tables: StepTables,
-    goal: CompiledGoal,
-    hold: Option<CompiledGoal>,
+    goal: StepGoal,
+    hold: Option<StepGoal>,
     initial: Result<NetState, EvalError>,
 }
 
@@ -70,6 +70,10 @@ struct Buffers {
     goal_win: IntervalSet,
     viol_win: IntervalSet,
     hold_win: IntervalSet,
+    /// `goal_win` (`hold_win`) holds a window that the next step may
+    /// reuse (see [`StepGoal::window_prof`]).
+    goal_fresh: bool,
+    hold_fresh: bool,
     inv_window: IntervalSet,
     window: IntervalSet,
     schedulable: IntervalSet,
@@ -91,6 +95,8 @@ impl SimScratch {
                 goal_win: IntervalSet::empty(),
                 viol_win: IntervalSet::empty(),
                 hold_win: IntervalSet::empty(),
+                goal_fresh: false,
+                hold_fresh: false,
                 inv_window: IntervalSet::empty(),
                 window: IntervalSet::empty(),
                 schedulable: IntervalSet::empty(),
@@ -212,8 +218,8 @@ impl<'a> PathGenerator<'a> {
         opts: &CompileOptions,
     ) -> Self {
         let tables = net.compile_with(opts);
-        let goal = property.goal.compile_with(net, opts);
-        let hold = property.hold.as_ref().map(|h| h.compile_with(net, opts));
+        let goal = StepGoal::new(property.goal.compile_with(net, opts));
+        let hold = property.hold.as_ref().map(|h| StepGoal::new(h.compile_with(net, opts)));
         let initial = net.initial_state();
         let margin = (0.1 * property.bound).max(1.0);
         PathGenerator { net, property, max_steps, margin, tables, goal, hold, initial }
@@ -272,11 +278,15 @@ impl<'a> PathGenerator<'a> {
         let init = self.initial.as_ref().map_err(|e| SimError::Eval(e.clone()))?;
         let SimScratch { state, bufs } = scratch;
         state.copy_from(init);
+        // Guard-scan reuse only where it pays; the Markovian patch and the
+        // flow and goal skips run on every path.
         if self.tables.incremental_pays() {
             bufs.step.begin_path(&self.tables);
         } else {
-            bufs.step.begin_full_path();
+            bufs.step.begin_full_path(&self.tables);
         }
+        bufs.goal_fresh = false;
+        bufs.hold_fresh = false;
         let mut log_weight = 0.0f64;
         let mut steps: u64 = 0;
         let outcome = loop {
@@ -339,20 +349,32 @@ impl<'a> PathGenerator<'a> {
         self.net.rates_refresh(&self.tables, &mut s.step, state);
 
         let remaining = self.property.remaining(state);
+        // A goal whose inputs did not change since the last step keeps
+        // its window (this runs before the step's guard scan, which
+        // clears the change word it reads).
         self.goal
-            .window_rated_prof(self.net, &mut s.step, &mut s.pool, state, &mut s.goal_win, prof)
+            .window_prof(
+                self.net,
+                &mut s.step,
+                &mut s.pool,
+                state,
+                &mut s.goal_win,
+                &mut s.goal_fresh,
+                prof,
+            )
             .map_err(SimError::Eval)?;
         // For bounded until: the set of delays at which `hold` is
         // violated (empty for plain reachability).
         match &self.hold {
             None => s.viol_win.clear(),
             Some(h) => {
-                h.window_rated_prof(
+                h.window_prof(
                     self.net,
                     &mut s.step,
                     &mut s.pool,
                     state,
                     &mut s.hold_win,
+                    &mut s.hold_fresh,
                     prof,
                 )
                 .map_err(SimError::Eval)?;
@@ -1188,6 +1210,168 @@ mod tests {
             let a = generate(&gen, kind.instantiate().as_mut(), &mut rng(42)).unwrap();
             let b = generate(&gen, kind.instantiate().as_mut(), &mut rng(42)).unwrap();
             assert_eq!(a, b, "strategy {kind} not reproducible");
+        }
+    }
+
+    /// Every strategy over 40 seeds on one reused scratch: the default
+    /// kernel's outcomes equal the reference kernel's, which scans every
+    /// guard, rebuilds the Markovian list, re-runs every flow and
+    /// evaluates the goal and hold windows on every step. Returns the
+    /// verdicts seen.
+    fn assert_matches_reference(net: &Network, prop: &TimedReach) -> Vec<Verdict> {
+        let fast = PathGenerator::new(net, prop, 1000);
+        let full =
+            PathGenerator::with_compile_options(net, prop, 1000, &CompileOptions::reference());
+        let (mut a, mut b) = (SimScratch::new(), SimScratch::new());
+        let mut verdicts = Vec::new();
+        for kind in StrategyKind::ALL {
+            for seed in 0..40 {
+                let x = fast.generate_with(&mut a, kind.instantiate().as_mut(), &mut rng(seed));
+                let y = full.generate_with(&mut b, kind.instantiate().as_mut(), &mut rng(seed));
+                assert_eq!(x, y, "strategy {kind}, seed {seed}");
+                verdicts.push(x.unwrap().verdict);
+            }
+        }
+        verdicts
+    }
+
+    /// Counts the bytecode programs run.
+    #[derive(Default)]
+    struct ProgCounter(u64);
+
+    impl ProfileHooks for ProgCounter {
+        const ENABLED: bool = true;
+
+        fn eval_begin(&mut self) {
+            self.0 += 1;
+        }
+    }
+
+    /// Fires `script` one transition per step the way the engine steps:
+    /// the goal check, then the guard scan, then the firing. Checks every
+    /// goal window against the legacy [`Goal::window`] and returns, per
+    /// step, whether the goal was evaluated rather than reused.
+    fn goal_evaluations(net: &Network, goal: &Goal, script: &[(ProcId, TransId)]) -> Vec<bool> {
+        let tables = net.compile();
+        let step_goal = StepGoal::new(goal.compile(net));
+        let (mut s, mut pool) = (StepScratch::new(), GoalPool::new());
+        let mut st = net.initial_state().unwrap();
+        let (mut win, mut fresh) = (IntervalSet::empty(), false);
+        s.begin_full_path(&tables);
+        let mut evaluated = Vec::new();
+        for step in 0..=script.len() {
+            net.rates_refresh(&tables, &mut s, &st);
+            let mut progs = ProgCounter::default();
+            step_goal
+                .window_prof(net, &mut s, &mut pool, &st, &mut win, &mut fresh, &mut progs)
+                .unwrap();
+            assert_eq!(win, goal.window(net, &st).unwrap(), "goal window at step {step}");
+            evaluated.push(progs.0 > 0);
+            net.guarded_candidates_rated(&tables, &mut s, &st).unwrap();
+            if let Some(&fire) = script.get(step) {
+                net.apply_mut(&tables, &mut s, &mut st, &[fire]).unwrap();
+            }
+        }
+        evaluated
+    }
+
+    /// `n` is bumped (`t1`) or rewritten with its own value (`t0`); flow
+    /// `hi := n >= 2`; `far` (index 64 + `pad`) is set by `t2`; `ok` is
+    /// cleared by a Markovian fault of process `f`.
+    fn counter_net(pad: usize) -> Network {
+        let mut b = NetworkBuilder::new();
+        let n = b.var("n", VarType::Int { lo: 0, hi: 10 }, Value::Int(0));
+        let hi = b.var("hi", VarType::Bool, Value::Bool(false));
+        let ok = b.var("ok", VarType::Bool, Value::Bool(true));
+        for i in 0..pad {
+            b.var(format!("pad{i}"), VarType::Int { lo: 0, hi: 1 }, Value::Int(0));
+        }
+        let far = b.var("far", VarType::Bool, Value::Bool(false));
+        b.flow(hi, Expr::var(n).ge(Expr::int(2)));
+        let mut w = AutomatonBuilder::new("w");
+        let w0 = w.location("w0");
+        let below = Expr::var(n).lt(Expr::int(10));
+        w.guarded(w0, ActionId::TAU, below.clone(), [Effect::assign(n, Expr::var(n))], w0);
+        let bump = Effect::assign(n, Expr::var(n).add(Expr::int(1)));
+        w.guarded(w0, ActionId::TAU, below, [bump], w0);
+        w.guarded(w0, ActionId::TAU, Expr::TRUE, [Effect::assign(far, Expr::bool(true))], w0);
+        b.add_automaton(w);
+        let mut f = AutomatonBuilder::new("f");
+        let (up, down) = (f.location("up"), f.location("down"));
+        f.markovian(up, 0.5, [Effect::assign(ok, Expr::bool(false))], down);
+        b.add_automaton(f);
+        b.build().unwrap()
+    }
+
+    /// A goal that reads only a flow target is re-evaluated only after a
+    /// firing that changed the target's value, not after one that only
+    /// moved the flow's input or rewrote a value.
+    #[test]
+    fn goal_on_a_flow_target_is_reused_until_it_changes() {
+        let net = counter_net(0);
+        let hi = net.var_id("hi").unwrap();
+        let goal = Goal::expr(Expr::var(hi));
+        assert_eq!(goal.compile(&net).read_mask(), Some(1 << hi.0));
+        let (same, bump) = ((ProcId(0), TransId(0)), (ProcId(0), TransId(1)));
+        // n: 0, 0, 1, 2, 2, 3 — `hi` turns true at the fourth step.
+        assert_eq!(
+            goal_evaluations(&net, &goal, &[same, bump, bump, same, bump]),
+            [true, false, false, true, false, false]
+        );
+        assert_matches_reference(&net, &TimedReach::new(goal, 5.0));
+    }
+
+    /// A goal reading a variable at index 64 or above has no read mask and
+    /// is evaluated on every step; in the same network a goal over low
+    /// variables is still reused.
+    #[test]
+    fn goal_on_a_high_variable_is_evaluated_every_step() {
+        let net = counter_net(64);
+        assert!(net.vars().len() > 64);
+        let far = net.var_id("far").unwrap();
+        assert!(far.0 >= 64);
+        let (same, set_far) = ((ProcId(0), TransId(0)), (ProcId(0), TransId(2)));
+        let high = Goal::expr(Expr::var(far));
+        assert_eq!(high.compile(&net).read_mask(), None);
+        assert_eq!(goal_evaluations(&net, &high, &[same, same, set_far, same]), [true; 5]);
+        let low = Goal::expr(Expr::var(net.var_id("n").unwrap()).ge(Expr::int(1)));
+        assert_eq!(
+            goal_evaluations(&net, &low, &[same, same, set_far]),
+            [true, false, false, false]
+        );
+        let mixed = low.clone().or(high.clone());
+        assert_eq!(mixed.compile(&net).read_mask(), None);
+        for goal in [high, low, mixed] {
+            assert_matches_reference(&net, &TimedReach::new(goal, 5.0));
+        }
+    }
+
+    /// Bounded until with a delay-free hold (`ok`, cleared by a fault)
+    /// reuses the hold window between the fault's changes and reaches
+    /// both verdicts exactly as the reference kernel does.
+    #[test]
+    fn until_hold_window_is_reused_exactly() {
+        let net = counter_net(0);
+        let ok = Goal::expr(Expr::var(net.var_id("ok").unwrap()));
+        let (same, fault) = ((ProcId(0), TransId(0)), (ProcId(1), TransId(0)));
+        assert_eq!(goal_evaluations(&net, &ok, &[same, fault, same]), [true, false, true, false]);
+        let hi = Goal::expr(Expr::var(net.var_id("hi").unwrap()));
+        let verdicts = assert_matches_reference(&net, &TimedReach::until(ok, hi, 5.0));
+        assert!(verdicts.contains(&Verdict::Satisfied));
+        assert!(verdicts.contains(&Verdict::HoldViolated));
+    }
+
+    /// A network with more than 64 variables (no scan reuse, no
+    /// value-level flow skip, untracked high variables) runs exactly as
+    /// the reference kernel, location goals included.
+    #[test]
+    fn networks_over_64_variables_match_the_reference() {
+        let net = counter_net(70);
+        let far = Goal::expr(Expr::var(net.var_id("far").unwrap()));
+        let hi = Goal::expr(Expr::var(net.var_id("hi").unwrap()));
+        let down = Goal::in_location(&net, "f", "down").unwrap();
+        for goal in [far, hi.clone(), down.or(hi)] {
+            assert_matches_reference(&net, &TimedReach::new(goal, 5.0));
         }
     }
 

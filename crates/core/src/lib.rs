@@ -60,7 +60,7 @@ pub mod prelude {
     pub use crate::error::SimError;
     pub use crate::obs::{SimObserver, WorkerStat};
     pub use crate::preverdict::{goal_distance_targets, pre_verdict, pre_verdict_with, PreVerdict};
-    pub use crate::property::{CompiledGoal, Goal, GoalPool, TimedReach};
+    pub use crate::property::{CompiledGoal, Goal, GoalPool, StepGoal, TimedReach};
     pub use crate::rare_event::{analyze_rare, RareEventConfig, RareEventResult};
     pub use crate::replay::{replay_events, ReplayOutcome};
     pub use crate::runner::{analyze, analyze_observed, analyze_profiled, AnalysisResult};

@@ -109,6 +109,23 @@ impl CompiledGoal {
         self.window_with(net, step, pool, state, out, true, prof)
     }
 
+    /// The variables the goal's window depends on, as a bit mask, when
+    /// the window is a pure function of them: every atom is a predicate
+    /// with a [`CompiledPredicate::read_mask`]. `None` when some atom
+    /// reads a clock, a rated variable or a variable from index 64 on,
+    /// names a location, or was compiled with
+    /// [`CompileOptions::reference`].
+    pub fn read_mask(&self) -> Option<u64> {
+        match self {
+            CompiledGoal::Pred(p) => p.read_mask(),
+            CompiledGoal::InLocation(..) => None,
+            CompiledGoal::And(a, b) | CompiledGoal::Or(a, b) => {
+                Some(a.read_mask()? | b.read_mask()?)
+            }
+            CompiledGoal::Not(a) => a.read_mask(),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn window_with<P: ProfileHooks>(
         &self,
@@ -160,6 +177,60 @@ impl CompiledGoal {
                 Ok(())
             }
         }
+    }
+}
+
+/// A [`CompiledGoal`] checked once per engine step, which re-evaluates
+/// only when a variable it reads may have changed since its last
+/// evaluation on the path.
+#[derive(Debug, Clone)]
+pub struct StepGoal {
+    goal: CompiledGoal,
+    /// [`CompiledGoal::read_mask`], computed once.
+    reads: Option<u64>,
+}
+
+impl StepGoal {
+    /// Wraps `goal` for per-step evaluation.
+    pub fn new(goal: CompiledGoal) -> StepGoal {
+        let reads = goal.read_mask();
+        StepGoal { goal, reads }
+    }
+
+    /// [`CompiledGoal::window_rated_prof`], except that `out` is left as
+    /// it is when it already holds the window: `*fresh` says `out` holds
+    /// this goal's window from an earlier call on the current path, and
+    /// no variable the goal reads is in `step`'s
+    /// [`StepScratch::changed_vars`]. The caller clears `*fresh` when a
+    /// path begins; the call sets it when the window may be reused.
+    ///
+    /// Reuse is exact when, between two calls, the state changes only
+    /// through `step`'s advance and apply methods, at most one guard scan
+    /// runs on `step`, and nothing changes between a call and that scan:
+    /// the change word then covers every change since the previous call.
+    /// The engine checks its goal at the start of each step, before the
+    /// step's scan.
+    ///
+    /// # Errors
+    /// Linear-solver errors for non-linear goal expressions.
+    #[allow(clippy::too_many_arguments)]
+    pub fn window_prof<P: ProfileHooks>(
+        &self,
+        net: &Network,
+        step: &mut StepScratch,
+        pool: &mut GoalPool,
+        state: &NetState,
+        out: &mut IntervalSet,
+        fresh: &mut bool,
+        prof: &mut P,
+    ) -> Result<(), EvalError> {
+        if *fresh && self.reads.is_some_and(|m| m & step.changed_vars() == 0) {
+            return Ok(());
+        }
+        *fresh = false;
+        self.goal.window_rated_prof(net, step, pool, state, out, prof)?;
+        *fresh = self.reads.is_some();
+        Ok(())
     }
 }
 

@@ -220,6 +220,7 @@ impl Gen<'_> {
                 connections.push(Connection {
                     from: q(&[&inst_names[j], &out]),
                     to: q(&[&inst_names[i], ev]),
+                    pos: Pos::default(),
                 });
             }
         }
@@ -242,6 +243,7 @@ impl Gen<'_> {
                 connections.push(Connection {
                     from: q(&[&inst_names[j], &out]),
                     to: q(&[&inst_names[i], port]),
+                    pos: Pos::default(),
                 });
             }
         }
@@ -284,6 +286,7 @@ impl Gen<'_> {
             flows.push(FlowDef {
                 target: QName::simple("failed"),
                 expr: expr.expect("atoms checked non-empty"),
+                pos: Pos::default(),
             });
             GoalSpec::Var("root.failed".to_string())
         };

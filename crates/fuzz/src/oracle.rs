@@ -10,11 +10,12 @@ use slim_analysis::analyze_network;
 use slim_automata::network::{Network, PruneMaps, PrunePlan};
 use slim_automata::prelude::{CompileOptions, Expr, IntervalSet, StepScratch};
 use slim_lint::LintConfig;
+use slim_obs::profile::NoopProfile;
 use slim_stats::chernoff::Accuracy;
 use slim_stats::rng::{derive_seed, path_rng};
 use slimsim_core::prelude::{
-    analyze, pre_verdict, DeadlockPolicy, Goal, PathGenerator, PreVerdict, SimConfig, SimError,
-    SimScratch, StrategyKind, TimedReach,
+    analyze, pre_verdict, DeadlockPolicy, Goal, GoalPool, PathGenerator, PreVerdict, SimConfig,
+    SimError, SimScratch, StepGoal, StrategyKind, TimedReach,
 };
 
 use crate::generate::{GeneratedModel, GoalSpec};
@@ -380,6 +381,12 @@ fn compiled_equivalence(
     let mut s = StepScratch::new();
     let mut window = IntervalSet::empty();
     let mut seed = derive_seed(model.seed, model.index) | 1;
+    // The goal as the engine checks it, reusing its window while nothing
+    // it reads changes. A goal that fails to resolve is reported by the
+    // lint oracle later.
+    let goal =
+        build_property(model, net).ok().map(|p| (StepGoal::new(p.goal.compile(net)), p.goal));
+    let (mut pool, mut goal_win) = (GoalPool::new(), IntervalSet::empty());
 
     for _walk in 0..cfg.equivalence_walks {
         let mut st = net.initial_state().map_err(|e| format!("initial state: {e}"))?;
@@ -387,6 +394,7 @@ fn compiled_equivalence(
         // The engine's incremental enabling: candidates and Markovian
         // lists below come from the state carried across the walk.
         s.begin_path(tables);
+        let mut goal_fresh = false;
         for step in 0..cfg.equivalence_steps {
             if st != st_c {
                 return Err(format!("states diverged before step {step}"));
@@ -396,6 +404,27 @@ fn compiled_equivalence(
                 .map_err(|e| format!("compiled delay_window: {e}"))?;
             if w != window {
                 return Err(format!("delay windows diverged at step {step}: {w:?} vs {window:?}"));
+            }
+            // Before the guard scan, as in the engine: the scan clears
+            // the change word the goal check reads.
+            if let Some((step_goal, goal)) = &goal {
+                let legacy = goal.window(net, &st).map_err(|e| format!("legacy goal: {e}"))?;
+                step_goal
+                    .window_prof(
+                        net,
+                        &mut s,
+                        &mut pool,
+                        &st_c,
+                        &mut goal_win,
+                        &mut goal_fresh,
+                        &mut NoopProfile,
+                    )
+                    .map_err(|e| format!("compiled goal: {e}"))?;
+                if legacy != goal_win {
+                    return Err(format!(
+                        "goal windows diverged at step {step}: {legacy:?} vs {goal_win:?}"
+                    ));
+                }
             }
 
             let cands =
@@ -476,6 +505,9 @@ fn compiled_equivalence(
             st = net.apply(&st, &transition).map_err(|e| format!("legacy apply: {e}"))?;
             net.apply_mut(tables, &mut s, &mut st_c, &transition.parts)
                 .map_err(|e| format!("compiled apply: {e}"))?;
+            if st != st_c {
+                return Err(format!("apply diverged at step {step} (flows included)"));
+            }
         }
     }
     Ok(())

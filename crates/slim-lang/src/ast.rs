@@ -244,21 +244,37 @@ impl Subcomponent {
 }
 
 /// A port-to-port connection.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct Connection {
     /// Source port (qualified from the implementation's viewpoint).
     pub from: QName,
     /// Target port.
     pub to: QName,
+    /// Source position of the declaration.
+    pub pos: Pos,
+}
+
+impl PartialEq for Connection {
+    fn eq(&self, o: &Self) -> bool {
+        self.from == o.from && self.to == o.to
+    }
 }
 
 /// A flow definition `out_port := expr`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FlowDef {
     /// Target (an out data port or local data).
     pub target: QName,
     /// Defining expression.
     pub expr: Expr,
+    /// Source position of the declaration.
+    pub pos: Pos,
+}
+
+impl PartialEq for FlowDef {
+    fn eq(&self, o: &Self) -> bool {
+        self.target == o.target && self.expr == o.expr
+    }
 }
 
 /// A mode (location) declaration.

@@ -24,9 +24,11 @@ pub enum LangErrorKind {
     Expected { expected: String, found: String },
     /// `end X;` does not match the declaration header.
     EndMismatch { declared: String, ended: String },
-    /// A name was declared twice.
+    /// A name was declared twice; the string says what kind of name and
+    /// quotes it, as for [`LangErrorKind::Unknown`].
     Duplicate(String),
-    /// A referenced name does not exist.
+    /// A referenced name does not exist; the string says what kind of
+    /// name and quotes it (``mode `on` in `top` ``).
     Unknown(String),
     /// A construct is well-formed but not allowed here (e.g. a `rate`
     /// trigger combined with a `when` guard).
@@ -47,8 +49,8 @@ impl fmt::Display for LangError {
             LangErrorKind::EndMismatch { declared, ended } => {
                 write!(f, "`end {ended}` does not match declaration `{declared}`")
             }
-            LangErrorKind::Duplicate(n) => write!(f, "duplicate declaration of `{n}`"),
-            LangErrorKind::Unknown(n) => write!(f, "unknown name `{n}`"),
+            LangErrorKind::Duplicate(what) => write!(f, "duplicate declaration of {what}"),
+            LangErrorKind::Unknown(what) => write!(f, "unknown {what}"),
             LangErrorKind::Invalid(msg) => write!(f, "{msg}"),
             LangErrorKind::Lowering(msg) => write!(f, "lowering failed: {msg}"),
         }
@@ -63,8 +65,10 @@ mod tests {
 
     #[test]
     fn display_includes_position() {
-        let e =
-            LangError { kind: LangErrorKind::Unknown("gps".into()), pos: Pos { line: 4, col: 2 } };
+        let e = LangError {
+            kind: LangErrorKind::Unknown("name `gps`".into()),
+            pos: Pos { line: 4, col: 2 },
+        };
         let s = e.to_string();
         assert!(s.contains("4:2") && s.contains("gps"));
     }

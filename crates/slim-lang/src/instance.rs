@@ -67,7 +67,7 @@ fn build(
         });
     }
     let ci = model.find_impl(ty, im).ok_or_else(|| LangError {
-        kind: LangErrorKind::Unknown(format!("{ty}.{im}")),
+        kind: LangErrorKind::Unknown(format!("implementation `{ty}.{im}`")),
         pos: Pos::START,
     })?;
     // The component type must exist as well (features live there).
@@ -80,8 +80,10 @@ fn build(
     stack.push(key);
     let mut children = Vec::new();
     for sub in &ci.subcomponents {
-        if let Subcomponent::Instance { name, category, impl_ref, .. } = sub {
-            let child = build(model, &impl_ref.0, &impl_ref.1, path.child(name.clone()), stack)?;
+        if let Subcomponent::Instance { name, category, impl_ref, pos } = sub {
+            // The innermost subcomponent declaration locates the error.
+            let child = build(model, &impl_ref.0, &impl_ref.1, path.child(name.clone()), stack)
+                .map_err(|e| if e.pos == Pos::START { LangError { pos: *pos, ..e } } else { e })?;
             if child.category != *category {
                 stack.pop();
                 return Err(LangError {
@@ -90,7 +92,7 @@ fn build(
                          implementation `{}.{}` declared as `{}`",
                         impl_ref.0, impl_ref.1, child.category
                     )),
-                    pos: Pos::START,
+                    pos: *pos,
                 });
             }
             children.push(child);

@@ -15,7 +15,7 @@ use crate::token::Pos;
 use slim_automata::automaton::Effect;
 use slim_automata::expr::VarId;
 use slim_automata::prelude::{
-    ActionId, AutomatonBuilder, Expr, Network, NetworkBuilder, Value, VarType,
+    ActionId, AutomatonBuilder, Expr, LocId, Network, NetworkBuilder, Value, VarType,
 };
 use std::collections::HashMap;
 
@@ -38,6 +38,17 @@ pub struct Lowered {
 
 fn err(kind: LangErrorKind) -> LangError {
     LangError { kind, pos: Pos::START }
+}
+
+fn err_at(pos: Pos, kind: LangErrorKind) -> LangError {
+    LangError { kind, pos }
+}
+
+/// Places an error raised while lowering a declaration at that
+/// declaration's position: name resolution raises its errors without
+/// one, and each declaration is wrapped exactly once.
+fn at(pos: Pos) -> impl FnOnce(LangError) -> LangError {
+    move |e| LangError { pos, ..e }
 }
 
 /// Lowers `root_ty.root_im` of `model` into a network, rooted at
@@ -137,14 +148,14 @@ impl<'m> Lowering<'m> {
             for f in &ct.features {
                 if let Some(ty) = f.data {
                     let name = inst.path.child(f.name.clone()).to_string();
-                    self.declare_var(&name, ty, f.default)?;
+                    self.declare_var(&name, ty, f.default).map_err(at(ct.pos))?;
                 }
             }
             let ci = self.impl_of(inst);
             for sub in &ci.subcomponents {
-                if let Subcomponent::Data { name, ty, init, .. } = sub {
+                if let Subcomponent::Data { name, ty, init, pos } = sub {
                     let full = inst.path.child(name.clone()).to_string();
-                    self.declare_var(&full, *ty, *init)?;
+                    self.declare_var(&full, *ty, *init).map_err(at(*pos))?;
                 }
             }
         }
@@ -158,7 +169,7 @@ impl<'m> Lowering<'m> {
         init: Option<ast::Literal>,
     ) -> Result<VarId, LangError> {
         if self.vars.contains_key(name) {
-            return Err(err(LangErrorKind::Duplicate(name.to_string())));
+            return Err(err(LangErrorKind::Duplicate(format!("variable `{name}`"))));
         }
         let vt = to_var_type(ty);
         let value = match init {
@@ -213,12 +224,16 @@ impl<'m> Lowering<'m> {
         for inst in root.walk() {
             let ci = self.impl_of(inst);
             for conn in &ci.connections {
-                let (from, from_event) = self.resolve_port(inst, &conn.from)?;
-                let (to, to_event) = self.resolve_port(inst, &conn.to)?;
+                let (from, from_event) =
+                    self.resolve_port(inst, &conn.from).map_err(at(conn.pos))?;
+                let (to, to_event) = self.resolve_port(inst, &conn.to).map_err(at(conn.pos))?;
                 if from_event != to_event {
-                    return Err(err(LangErrorKind::Invalid(format!(
-                        "connection `{from}` -> `{to}` mixes event and data ports"
-                    ))));
+                    return Err(err_at(
+                        conn.pos,
+                        LangErrorKind::Invalid(format!(
+                            "connection `{from}` -> `{to}` mixes event and data ports"
+                        )),
+                    ));
                 }
                 if from_event {
                     let a = self.event_ports[&from];
@@ -260,7 +275,7 @@ impl<'m> Lowering<'m> {
         self.vars
             .get(&name)
             .map(|(v, _)| *v)
-            .ok_or_else(|| err(LangErrorKind::Unknown(format!("`{q}` (resolved `{name}`)"))))
+            .ok_or_else(|| err(LangErrorKind::Unknown(format!("name `{q}` (resolved `{name}`)"))))
     }
 
     fn resolve_expr(&self, prefix: &QName, e: &ast::Expr) -> Result<Expr, LangError> {
@@ -272,10 +287,13 @@ impl<'m> Lowering<'m> {
             let ci = self.impl_of(inst);
             if ci.modes.is_empty() {
                 if !ci.transitions.is_empty() {
-                    return Err(err(LangErrorKind::Invalid(format!(
-                        "`{}` declares transitions but no modes",
-                        inst.path
-                    ))));
+                    return Err(err_at(
+                        ci.pos,
+                        LangErrorKind::Invalid(format!(
+                            "`{}` declares transitions but no modes",
+                            inst.path
+                        )),
+                    ));
                 }
                 continue;
             }
@@ -284,97 +302,44 @@ impl<'m> Lowering<'m> {
             let mut initial = None;
             for m in &ci.modes {
                 let invariant = match &m.invariant {
-                    Some(e) => self.resolve_expr(&inst.path, e)?,
+                    Some(e) => self.resolve_expr(&inst.path, e).map_err(at(m.pos))?,
                     None => Expr::TRUE,
                 };
                 let mut rates = Vec::new();
                 for (q, r) in &m.derivatives {
-                    rates.push((self.resolve_var(&inst.path, q)?, *r));
+                    rates.push((self.resolve_var(&inst.path, q).map_err(at(m.pos))?, *r));
                 }
                 let id = ab.location_with(m.name.clone(), invariant, rates);
                 if mode_ids.insert(m.name.clone(), id).is_some() {
-                    return Err(err(LangErrorKind::Duplicate(format!(
-                        "mode `{}` in `{}`",
-                        m.name, inst.path
-                    ))));
+                    return Err(err_at(
+                        m.pos,
+                        LangErrorKind::Duplicate(format!("mode `{}` in `{}`", m.name, inst.path)),
+                    ));
                 }
                 if m.initial {
                     if initial.is_some() {
-                        return Err(err(LangErrorKind::Invalid(format!(
-                            "`{}` has more than one initial mode",
-                            inst.path
-                        ))));
+                        return Err(err_at(
+                            m.pos,
+                            LangErrorKind::Invalid(format!(
+                                "`{}` has more than one initial mode",
+                                inst.path
+                            )),
+                        ));
                     }
                     initial = Some(id);
                 }
             }
             let initial = initial.ok_or_else(|| {
-                err(LangErrorKind::Invalid(format!("`{}` has no initial mode", inst.path)))
+                err_at(
+                    ci.pos,
+                    LangErrorKind::Invalid(format!("`{}` has no initial mode", inst.path)),
+                )
             })?;
             ab.set_init(initial);
 
             let mut spans = Vec::with_capacity(ci.transitions.len());
             for t in &ci.transitions {
-                let from = *mode_ids.get(&t.from).ok_or_else(|| {
-                    err(LangErrorKind::Unknown(format!("mode `{}` in `{}`", t.from, inst.path)))
-                })?;
-                let to = *mode_ids.get(&t.to).ok_or_else(|| {
-                    err(LangErrorKind::Unknown(format!("mode `{}` in `{}`", t.to, inst.path)))
-                })?;
-                let mut effects = Vec::new();
-                for (q, e) in &t.effects {
-                    effects.push(Effect::assign(
-                        self.resolve_var(&inst.path, q)?,
-                        self.resolve_expr(&inst.path, e)?,
-                    ));
-                }
-                match &t.trigger {
-                    Trigger::Rate(r) => {
-                        if t.guard.is_some() {
-                            return Err(err(LangErrorKind::Invalid(format!(
-                                "transition in `{}` combines `rate` with `when`",
-                                inst.path
-                            ))));
-                        }
-                        if t.urgent {
-                            return Err(err(LangErrorKind::Invalid(format!(
-                                "transition in `{}` combines `rate` with `urgent`",
-                                inst.path
-                            ))));
-                        }
-                        ab.markovian(from, *r, effects, to);
-                    }
-                    Trigger::Internal => {
-                        let guard = match &t.guard {
-                            Some(g) => self.resolve_expr(&inst.path, g)?,
-                            None => Expr::TRUE,
-                        };
-                        if t.urgent {
-                            ab.guarded_urgent(from, ActionId::TAU, guard, effects, to);
-                        } else {
-                            ab.guarded(from, ActionId::TAU, guard, effects, to);
-                        }
-                    }
-                    Trigger::Port(q) => {
-                        let (abs, is_event) = self.resolve_port(inst, q)?;
-                        if !is_event {
-                            return Err(err(LangErrorKind::Invalid(format!(
-                                "trigger `{q}` in `{}` is a data port",
-                                inst.path
-                            ))));
-                        }
-                        let action = self.action_for_port(&abs)?;
-                        let guard = match &t.guard {
-                            Some(g) => self.resolve_expr(&inst.path, g)?,
-                            None => Expr::TRUE,
-                        };
-                        if t.urgent {
-                            ab.guarded_urgent(from, action, guard, effects, to);
-                        } else {
-                            ab.guarded(from, action, guard, effects, to);
-                        }
-                    }
-                }
+                self.lower_transition(inst, t, &mode_ids, &mut ab).map_err(at(t.pos))?;
                 spans.push(Some(t.pos));
             }
             self.builder.add_automaton(ab);
@@ -383,12 +348,74 @@ impl<'m> Lowering<'m> {
         Ok(())
     }
 
+    /// Adds mode transition `t` of `inst` to `ab`.
+    fn lower_transition(
+        &mut self,
+        inst: &Instance,
+        t: &ast::TransitionDecl,
+        mode_ids: &HashMap<String, LocId>,
+        ab: &mut AutomatonBuilder,
+    ) -> Result<(), LangError> {
+        let mode = |name: &str| {
+            mode_ids.get(name).copied().ok_or_else(|| {
+                err(LangErrorKind::Unknown(format!("mode `{name}` in `{}`", inst.path)))
+            })
+        };
+        let (from, to) = (mode(&t.from)?, mode(&t.to)?);
+        let mut effects = Vec::new();
+        for (q, e) in &t.effects {
+            effects.push(Effect::assign(
+                self.resolve_var(&inst.path, q)?,
+                self.resolve_expr(&inst.path, e)?,
+            ));
+        }
+        let action = match &t.trigger {
+            Trigger::Rate(r) => {
+                if t.guard.is_some() {
+                    return Err(err(LangErrorKind::Invalid(format!(
+                        "transition in `{}` combines `rate` with `when`",
+                        inst.path
+                    ))));
+                }
+                if t.urgent {
+                    return Err(err(LangErrorKind::Invalid(format!(
+                        "transition in `{}` combines `rate` with `urgent`",
+                        inst.path
+                    ))));
+                }
+                ab.markovian(from, *r, effects, to);
+                return Ok(());
+            }
+            Trigger::Internal => ActionId::TAU,
+            Trigger::Port(q) => {
+                let (abs, is_event) = self.resolve_port(inst, q)?;
+                if !is_event {
+                    return Err(err(LangErrorKind::Invalid(format!(
+                        "trigger `{q}` in `{}` is a data port",
+                        inst.path
+                    ))));
+                }
+                self.action_for_port(&abs)?
+            }
+        };
+        let guard = match &t.guard {
+            Some(g) => self.resolve_expr(&inst.path, g)?,
+            None => Expr::TRUE,
+        };
+        if t.urgent {
+            ab.guarded_urgent(from, action, guard, effects, to);
+        } else {
+            ab.guarded(from, action, guard, effects, to);
+        }
+        Ok(())
+    }
+
     fn process_flows(&mut self, root: &Instance) -> Result<(), LangError> {
         for inst in root.walk() {
             let ci = self.impl_of(inst);
             for f in &ci.flows {
-                let target = self.resolve_var(&inst.path, &f.target)?;
-                let expr = self.resolve_expr(&inst.path, &f.expr)?;
+                let target = self.resolve_var(&inst.path, &f.target).map_err(at(f.pos))?;
+                let expr = self.resolve_expr(&inst.path, &f.expr).map_err(at(f.pos))?;
                 self.builder.flow(target, expr);
             }
         }
@@ -399,10 +426,16 @@ impl<'m> Lowering<'m> {
     fn weave_injections(&mut self, root: &Instance) -> Result<(), LangError> {
         for (n, inj) in self.model.injections.iter().enumerate() {
             let inst = root.find(&inj.target).ok_or_else(|| {
-                err(LangErrorKind::Unknown(format!("injection target `{}`", inj.target)))
+                err_at(
+                    inj.pos,
+                    LangErrorKind::Unknown(format!("injection target `{}`", inj.target)),
+                )
             })?;
             let em = self.model.find_error_model(&inj.error_model).ok_or_else(|| {
-                err(LangErrorKind::Unknown(format!("error model `{}`", inj.error_model)))
+                err_at(
+                    inj.pos,
+                    LangErrorKind::Unknown(format!("error model `{}`", inj.error_model)),
+                )
             })?;
             let auto_name = format!("{}.error_{}{}", inst.path, em.name, disambiguate(n));
             // Implicit clock, reset on every error transition (Fig. 2).
@@ -427,31 +460,42 @@ impl<'m> Lowering<'m> {
             let mut initial = None;
             for s in &em.states {
                 let invariant = match &s.invariant {
-                    Some(e) => resolve_expr_with(e, &mut |q| resolve(self, q))?,
+                    Some(e) => {
+                        resolve_expr_with(e, &mut |q| resolve(self, q)).map_err(at(s.pos))?
+                    }
                     None => Expr::TRUE,
                 };
                 let id = ab.location_with(s.name.clone(), invariant, []);
                 if state_ids.insert(s.name.clone(), id).is_some() {
-                    return Err(err(LangErrorKind::Duplicate(format!(
-                        "error state `{}` in `{}`",
-                        s.name, em.name
-                    ))));
+                    return Err(err_at(
+                        s.pos,
+                        LangErrorKind::Duplicate(format!(
+                            "error state `{}` in `{}`",
+                            s.name, em.name
+                        )),
+                    ));
                 }
                 if s.initial {
                     if initial.is_some() {
-                        return Err(err(LangErrorKind::Invalid(format!(
-                            "error model `{}` has more than one initial state",
-                            em.name
-                        ))));
+                        return Err(err_at(
+                            s.pos,
+                            LangErrorKind::Invalid(format!(
+                                "error model `{}` has more than one initial state",
+                                em.name
+                            )),
+                        ));
                     }
                     initial = Some(id);
                 }
             }
             let initial = initial.ok_or_else(|| {
-                err(LangErrorKind::Invalid(format!(
-                    "error model `{}` has no initial state",
-                    em.name
-                )))
+                err_at(
+                    em.pos,
+                    LangErrorKind::Invalid(format!(
+                        "error model `{}` has no initial state",
+                        em.name
+                    )),
+                )
             })?;
             ab.set_init(initial);
 
@@ -459,16 +503,17 @@ impl<'m> Lowering<'m> {
             let mut effects_for: HashMap<&str, Vec<Effect>> = HashMap::new();
             for (state, var, value) in &inj.effects {
                 if !em.states.iter().any(|s| &s.name == state) {
-                    return Err(err(LangErrorKind::Unknown(format!(
-                        "error state `{state}` in injection on `{}`",
-                        inj.target
-                    ))));
+                    return Err(err_at(
+                        inj.pos,
+                        LangErrorKind::Unknown(format!(
+                            "error state `{state}` in injection on `{}`",
+                            inj.target
+                        )),
+                    ));
                 }
-                let target = self
-                    .vars
-                    .get(&var.to_string())
-                    .map(|(v, _)| *v)
-                    .ok_or_else(|| err(LangErrorKind::Unknown(format!("`{var}`"))))?;
+                let target = self.vars.get(&var.to_string()).map(|(v, _)| *v).ok_or_else(|| {
+                    err_at(inj.pos, LangErrorKind::Unknown(format!("name `{var}`")))
+                })?;
                 effects_for
                     .entry(state.as_str())
                     .or_default()
@@ -478,10 +523,10 @@ impl<'m> Lowering<'m> {
             let mut spans = Vec::with_capacity(em.transitions.len());
             for t in &em.transitions {
                 let from = *state_ids.get(&t.from).ok_or_else(|| {
-                    err(LangErrorKind::Unknown(format!("error state `{}`", t.from)))
+                    err_at(t.pos, LangErrorKind::Unknown(format!("error state `{}`", t.from)))
                 })?;
                 let to = *state_ids.get(&t.to).ok_or_else(|| {
-                    err(LangErrorKind::Unknown(format!("error state `{}`", t.to)))
+                    err_at(t.pos, LangErrorKind::Unknown(format!("error state `{}`", t.to)))
                 })?;
                 let mut effects = vec![Effect::assign(clock, Expr::real(0.0))];
                 if let Some(inj_effects) = effects_for.get(t.to.as_str()) {
@@ -492,7 +537,8 @@ impl<'m> Lowering<'m> {
                         ab.markovian(from, *r, effects, to);
                     }
                     ast::ErrorTrigger::When(g) => {
-                        let guard = resolve_expr_with(g, &mut |q| resolve(self, q))?;
+                        let guard =
+                            resolve_expr_with(g, &mut |q| resolve(self, q)).map_err(at(t.pos))?;
                         ab.guarded(from, ActionId::TAU, guard, effects, to);
                     }
                     ast::ErrorTrigger::Propagation(name) => {
@@ -946,6 +992,54 @@ mod tests {
             "I",
         );
         assert!(matches!(r.unwrap_err().kind, LangErrorKind::Unknown(_)));
+    }
+
+    /// Each kind of declaration places its errors at its own position,
+    /// and names are quoted once.
+    #[test]
+    fn lowering_errors_carry_declaration_positions() {
+        let src = |body: &str| {
+            format!(
+                "device D\n  features\n    o: out data port int := 0;\nend D;\n\
+                 device implementation D.I\n{body}\nend D.I;"
+            )
+        };
+        for (body, line, col, message) in [
+            (
+                "  flows\n    o := nosuch + 1;",
+                7,
+                5,
+                "unknown name `nosuch` (resolved `root.nosuch`)",
+            ),
+            (
+                "  connections\n    port o -> gone;",
+                7,
+                5,
+                "unknown port `gone` (resolved `root.gone`)",
+            ),
+            (
+                "  subcomponents\n    o: data int := 1;",
+                7,
+                5,
+                "duplicate declaration of variable `root.o`",
+            ),
+            (
+                "  modes\n    m: initial mode;\n    m: mode;",
+                8,
+                5,
+                "duplicate declaration of mode `m` in `root`",
+            ),
+            (
+                "  modes\n    m: initial mode;\n  transitions\n    m -[ ]-> nowhere;",
+                9,
+                5,
+                "unknown mode `nowhere` in `root`",
+            ),
+        ] {
+            let e = lower_src(&src(body), "D", "I").unwrap_err();
+            assert_eq!((e.pos.line, e.pos.col), (line, col), "{body}: {e}");
+            assert_eq!(e.to_string(), format!("{line}:{col}: {message}"), "{body}");
+        }
     }
 
     #[test]

@@ -24,12 +24,26 @@ use crate::token::{Keyword, Pos, Token, TokenKind};
 /// ```
 pub fn parse(src: &str) -> Result<Model, LangError> {
     let tokens = lex(src)?;
-    Parser { tokens, at: 0 }.model()
+    Parser { tokens, at: 0, depth: 0 }.model()
 }
+
+/// Deepest expression the parser builds. Each parenthesis, prefix
+/// operator, `if`/`min`/`max`, implication right-hand side and each
+/// further operand of a left-associative chain is one level. Every pass
+/// over an expression (this parser, lowering, lint, compilation,
+/// evaluation, drop) recurses once per level, so a deeper tree could
+/// overflow the stack; past the cap the parser reports an error instead.
+/// A parenthesis costs this parser about 10 KiB of stack in an
+/// unoptimized build (one frame per precedence level), so 128 levels
+/// stay well inside the 2 MiB of a spawned thread.
+const MAX_EXPR_DEPTH: usize = 128;
 
 struct Parser {
     tokens: Vec<Token>,
     at: usize,
+    /// Expression nesting level at the current token (see
+    /// [`MAX_EXPR_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -61,6 +75,21 @@ impl Parser {
             },
             pos: self.pos(),
         }
+    }
+
+    /// Enters one expression nesting level; `pos` is the token that
+    /// opens it.
+    fn nest(&mut self, pos: Pos) -> Result<(), LangError> {
+        self.depth += 1;
+        if self.depth > MAX_EXPR_DEPTH {
+            return Err(LangError {
+                kind: LangErrorKind::Invalid(format!(
+                    "expression nested more than {MAX_EXPR_DEPTH} levels deep"
+                )),
+                pos,
+            });
+        }
+        Ok(())
     }
 
     /// Keywords that may double as identifiers (contextual keywords):
@@ -317,20 +346,22 @@ impl Parser {
                 }
             } else if self.eat_kw(Keyword::Connections) {
                 while matches!(self.peek_kind(), TokenKind::Keyword(Keyword::Port)) {
+                    let pos = self.pos();
                     self.bump();
                     let from = self.qname()?;
                     self.expect_kind(TokenKind::Arrow)?;
                     let to = self.qname()?;
                     self.expect_kind(TokenKind::Semi)?;
-                    ci.connections.push(Connection { from, to });
+                    ci.connections.push(Connection { from, to, pos });
                 }
             } else if self.eat_kw(Keyword::Flows) {
                 while self.peek_ident_like() {
+                    let pos = self.pos();
                     let target = self.qname()?;
                     self.expect_kind(TokenKind::Assign)?;
                     let expr = self.expr()?;
                     self.expect_kind(TokenKind::Semi)?;
-                    ci.flows.push(FlowDef { target, expr });
+                    ci.flows.push(FlowDef { target, expr, pos });
                 }
             } else if self.eat_kw(Keyword::Modes) {
                 while self.peek_ident_like() {
@@ -506,36 +537,53 @@ impl Parser {
 
     fn implies_expr(&mut self) -> Result<Expr, LangError> {
         let lhs = self.or_expr()?;
-        if self.eat_kind(&TokenKind::Implies) {
-            let rhs = self.implies_expr()?; // right-associative
+        if matches!(self.peek_kind(), TokenKind::Implies) {
+            // Right-associative: the right-hand side nests.
+            let rhs = self.nested(|p| {
+                p.bump();
+                p.implies_expr()
+            })?;
             Ok(Expr::Bin(BinOp::Implies, Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
         }
     }
 
-    fn or_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.and_expr()?;
+    /// A left-associative chain: `operand (op operand)*`, where `op`
+    /// consumes an operator token. Each further operand nests the tree
+    /// one level deeper.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Self) -> Result<Expr, LangError>,
+        op: fn(&mut Self) -> Option<BinOp>,
+    ) -> Result<Expr, LangError> {
+        let depth = self.depth;
+        let mut lhs = operand(self)?;
         loop {
-            let op = if self.eat_kw(Keyword::Or) {
-                BinOp::Or
-            } else if self.eat_kw(Keyword::Xor) {
-                BinOp::Xor
-            } else {
-                return Ok(lhs);
-            };
-            let rhs = self.and_expr()?;
+            let pos = self.pos();
+            let Some(op) = op(self) else { break };
+            self.nest(pos)?;
+            let rhs = operand(self)?;
             lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
+        Ok(lhs)
+    }
+
+    fn or_expr(&mut self) -> Result<Expr, LangError> {
+        self.chain(Self::and_expr, |p| {
+            if p.eat_kw(Keyword::Or) {
+                Some(BinOp::Or)
+            } else if p.eat_kw(Keyword::Xor) {
+                Some(BinOp::Xor)
+            } else {
+                None
+            }
+        })
     }
 
     fn and_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.eat_kw(Keyword::And) {
-            let rhs = self.cmp_expr()?;
-            lhs = Expr::Bin(BinOp::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+        self.chain(Self::cmp_expr, |p| p.eat_kw(Keyword::And).then_some(BinOp::And))
     }
 
     fn cmp_expr(&mut self) -> Result<Expr, LangError> {
@@ -555,41 +603,52 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek_kind() {
+        self.chain(Self::mul_expr, |p| {
+            let op = match p.peek_kind() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
-                _ => return Ok(lhs),
+                _ => return None,
             };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+            p.bump();
+            Some(op)
+        })
     }
 
     fn mul_expr(&mut self) -> Result<Expr, LangError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek_kind() {
+        self.chain(Self::unary_expr, |p| {
+            let op = match p.peek_kind() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
-                _ => return Ok(lhs),
+                _ => return None,
             };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Bin(op, Box::new(lhs), Box::new(rhs));
-        }
+            p.bump();
+            Some(op)
+        })
     }
 
     fn unary_expr(&mut self) -> Result<Expr, LangError> {
-        if self.eat_kind(&TokenKind::Minus) {
-            Ok(Expr::Neg(Box::new(self.unary_expr()?)))
-        } else if self.eat_kw(Keyword::Not) {
-            Ok(Expr::Not(Box::new(self.unary_expr()?)))
-        } else {
-            self.atom()
-        }
+        let wrap: fn(Box<Expr>) -> Expr = match self.peek_kind() {
+            TokenKind::Minus => Expr::Neg,
+            TokenKind::Keyword(Keyword::Not) => Expr::Not,
+            _ => return self.atom(),
+        };
+        let operand = self.nested(|p| {
+            p.bump();
+            p.unary_expr()
+        })?;
+        Ok(wrap(Box::new(operand)))
+    }
+
+    /// Parses `inner` one nesting level deeper; the current token opens
+    /// the level.
+    fn nested(
+        &mut self,
+        inner: impl FnOnce(&mut Self) -> Result<Expr, LangError>,
+    ) -> Result<Expr, LangError> {
+        self.nest(self.pos())?;
+        let e = inner(self)?;
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn atom(&mut self) -> Result<Expr, LangError> {
@@ -610,31 +669,31 @@ impl Parser {
                 self.bump();
                 Ok(Expr::Lit(Literal::Real(r)))
             }
-            TokenKind::LParen => {
-                self.bump();
-                let e = self.expr()?;
-                self.expect_kind(TokenKind::RParen)?;
+            TokenKind::LParen => self.nested(|p| {
+                p.bump();
+                let e = p.expr()?;
+                p.expect_kind(TokenKind::RParen)?;
                 Ok(e)
-            }
-            TokenKind::Keyword(Keyword::If) => {
-                self.bump();
-                let c = self.expr()?;
-                self.expect_kw(Keyword::Then)?;
-                let t = self.expr()?;
-                self.expect_kw(Keyword::Else)?;
-                let e = self.expr()?;
+            }),
+            TokenKind::Keyword(Keyword::If) => self.nested(|p| {
+                p.bump();
+                let c = p.expr()?;
+                p.expect_kw(Keyword::Then)?;
+                let t = p.expr()?;
+                p.expect_kw(Keyword::Else)?;
+                let e = p.expr()?;
                 Ok(Expr::Ite(Box::new(c), Box::new(t), Box::new(e)))
-            }
-            TokenKind::Keyword(kw @ (Keyword::Min | Keyword::Max)) => {
-                self.bump();
-                self.expect_kind(TokenKind::LParen)?;
-                let a = self.expr()?;
-                self.expect_kind(TokenKind::Comma)?;
-                let b = self.expr()?;
-                self.expect_kind(TokenKind::RParen)?;
+            }),
+            TokenKind::Keyword(kw @ (Keyword::Min | Keyword::Max)) => self.nested(|p| {
+                p.bump();
+                p.expect_kind(TokenKind::LParen)?;
+                let a = p.expr()?;
+                p.expect_kind(TokenKind::Comma)?;
+                let b = p.expr()?;
+                p.expect_kind(TokenKind::RParen)?;
                 let op = if kw == Keyword::Min { BinOp::Min } else { BinOp::Max };
                 Ok(Expr::Bin(op, Box::new(a), Box::new(b)))
-            }
+            }),
             ref k if Parser::soft_ident(k).is_some() => Ok(Expr::Name(self.qname()?)),
             _ => Err(self.error("expression")),
         }
@@ -861,6 +920,34 @@ mod tests {
     fn error_reports_position() {
         let err = parse("system S\n  features\n    p q\nend S;").unwrap_err();
         assert_eq!(err.pos.line, 3);
+    }
+
+    /// Parentheses, prefix operators and chain operands each count one
+    /// level: exactly [`MAX_EXPR_DEPTH`] levels parse, one more is an
+    /// error at the token that opens it.
+    #[test]
+    fn expression_depth_is_capped() {
+        let flow = |e: String| {
+            format!("device D end D;\ndevice implementation D.I flows x := {e}; end D.I;")
+        };
+        let m = MAX_EXPR_DEPTH;
+        let shapes = |k: usize| {
+            [
+                format!("{}1{}", "(".repeat(k), ")".repeat(k)),
+                format!("{}1", "- ".repeat(k)),
+                vec!["1"; k + 1].join(" * "),
+                vec!["true"; k + 1].join(" and "),
+                vec!["true"; k + 1].join(" => "),
+            ]
+        };
+        for e in shapes(m) {
+            assert!(parse(&flow(e.clone())).is_ok(), "{m} levels: {e:.40}");
+        }
+        for e in shapes(m + 1) {
+            let err = parse(&flow(e.clone())).unwrap_err();
+            assert_eq!(err.pos.line, 2, "{e:.40}");
+            assert!(err.to_string().contains("nested more than"), "{err}");
+        }
     }
 
     #[test]

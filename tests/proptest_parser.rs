@@ -160,7 +160,11 @@ fn model(rng: &mut StdRng) -> Model {
             pos: Default::default(),
         }),
         connections: vec![],
-        flows: vec_of(rng, 0, 2, |rng| FlowDef { target: qname(rng), expr: expr(rng, 2) }),
+        flows: vec_of(rng, 0, 2, |rng| FlowDef {
+            target: qname(rng),
+            expr: expr(rng, 2),
+            pos: Default::default(),
+        }),
         modes: vec_of(rng, 0, 3, mode),
         transitions: vec_of(rng, 0, 3, transition),
         pos: Default::default(),
